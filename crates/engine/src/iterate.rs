@@ -29,6 +29,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 
 use flowmark_dataflow::partitioner::fxhash;
 
+use crate::csr::DenseCsr;
 use crate::faults::FaultPlan;
 use crate::flink::FlinkEnv;
 use crate::hash::{fx_map_with_capacity, FxHashMap};
@@ -242,59 +243,33 @@ pub struct PartitionedGraph {
 }
 
 impl PartitionedGraph {
-    /// Builds the partitioned CSR out-adjacency from an edge list in two
-    /// passes: degree count, then cursor fill. Vertices that appear only
-    /// as targets get an empty row so that vertex programs see them.
-    /// Every map and array is pre-sized from the known edge/vertex counts.
+    /// Builds the partitioned CSR out-adjacency from an edge list: one
+    /// [`DenseCsr`] pass, then each row is dealt to its owner in ascending
+    /// id order, so every partition's vertex list comes out sorted and its
+    /// adjacency keeps the edge-list order per source. Vertices that appear
+    /// only as targets get an empty row so that vertex programs see them.
     pub fn from_edges(edges: &[(u64, u64)], partitions: usize) -> Self {
         assert!(partitions > 0);
-        // Pass 1: out-degrees (sinks registered at degree 0).
-        let mut deg: FxHashMap<u64, u32> = fx_map_with_capacity(edges.len() * 2);
-        for &(s, t) in edges {
-            *deg.entry(s).or_insert(0) += 1;
-            deg.entry(t).or_insert(0);
-        }
-        let mut ids: Vec<u64> = Vec::with_capacity(deg.len());
-        ids.extend(deg.keys().copied());
-        ids.sort_unstable();
-        // Distribute in ascending id order so each partition's vertex list
-        // comes out sorted (dense index order = id order).
-        let per_part = ids.len() / partitions + 1;
+        let csr = DenseCsr::from_edges(edges);
+        let per_part = csr.vertices() / partitions + 1;
         let mut parts: Vec<CsrPart> = (0..partitions)
             .map(|_| CsrPart {
                 vertex_ids: Vec::with_capacity(per_part),
                 offsets: Vec::with_capacity(per_part + 1),
-                targets: Vec::new(),
+                targets: Vec::with_capacity(edges.len() / partitions + 1),
                 index: fx_map_with_capacity(per_part),
             })
             .collect();
-        for &v in &ids {
-            let p = &mut parts[Self::owner(v, partitions)];
-            p.index.insert(v, p.vertex_ids.len() as u32);
-            p.vertex_ids.push(v);
-        }
-        // Offsets: per-partition prefix sums over the out-degrees.
         for p in &mut parts {
             p.offsets.push(0);
-            let mut total = 0u32;
-            for &v in &p.vertex_ids {
-                total += deg[&v];
-                p.offsets.push(total);
-            }
-            p.targets = vec![0; total as usize];
         }
-        // Pass 2: place targets with per-row write cursors, preserving the
-        // edge-list order per source (same adjacency order as before).
-        let mut cursors: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|p| p.offsets[..p.len()].to_vec())
-            .collect();
-        for &(s, t) in edges {
-            let pi = Self::owner(s, partitions);
-            let row = parts[pi].index[&s] as usize;
-            let c = &mut cursors[pi][row];
-            parts[pi].targets[*c as usize] = t;
-            *c += 1;
+        for (v, &id) in csr.ids.iter().enumerate() {
+            let p = &mut parts[Self::owner(id, partitions)];
+            p.index.insert(id, p.vertex_ids.len() as u32);
+            p.vertex_ids.push(id);
+            p.targets
+                .extend(csr.row(v).iter().map(|&t| csr.ids[t as usize]));
+            p.offsets.push(p.targets.len() as u32);
         }
         Self { parts }
     }

@@ -23,6 +23,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cache;
+pub mod csr;
 pub mod faults;
 pub mod flink;
 pub mod gelly;
@@ -30,6 +31,7 @@ pub mod graphx;
 pub mod hash;
 pub mod iterate;
 pub mod memory;
+pub mod messages;
 pub mod metrics;
 pub mod runtime;
 pub mod sampler;

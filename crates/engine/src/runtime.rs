@@ -260,6 +260,37 @@ mod tests {
         }
     }
 
+    /// The staged engine's stage shapes re-raise a task's typed payload in
+    /// both modes too — `PerJob` goes through the vendored rayon stand-in,
+    /// which used to replace it with a `String` on hosts with ≥2 cores.
+    #[test]
+    fn staged_stage_shapes_preserve_panic_payloads() {
+        crate::faults::install_quiet_hook();
+        let metrics = EngineMetrics::new();
+        let task = |i: usize| {
+            if i == 2 {
+                std::panic::panic_any(crate::faults::JobCancelled { at: (7, i) });
+            }
+            i
+        };
+        for mode in [ExecutorMode::PerJob, ExecutorMode::SharedPool] {
+            for items in [false, true] {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if items {
+                        run_stage_items(mode, &metrics, vec![0, 1, 2, 3], |_, i| task(i))
+                    } else {
+                        run_stage(mode, &metrics, 4, task)
+                    }
+                }))
+                .expect_err("panic must propagate");
+                let cancelled = err
+                    .downcast_ref::<crate::faults::JobCancelled>()
+                    .expect("typed payload intact");
+                assert_eq!(cancelled.at, (7, 2));
+            }
+        }
+    }
+
     #[test]
     fn fragment_round_trip_verifies_and_detects_rot() {
         let metrics = EngineMetrics::new();

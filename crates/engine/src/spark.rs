@@ -192,35 +192,33 @@ impl SparkContext {
         partitions: usize,
     ) -> Rdd<T> {
         assert!(partitions > 0);
+        self.metrics().add_records_read(data.len() as u64);
+        // Split by move: the source never deep-copies the driver's input.
         let chunk = data.len().div_ceil(partitions).max(1);
-        let parts: Vec<Vec<T>> = data
-            .chunks(chunk)
-            .map(<[T]>::to_vec)
-            .chain(std::iter::repeat_with(Vec::new))
-            .take(partitions)
+        let mut rest = data.into_iter();
+        let parts = (0..partitions)
+            .map(|_| Arc::new(rest.by_ref().take(chunk).collect()))
             .collect();
-        let metrics = self.metrics().clone();
-        metrics.add_records_read(parts.iter().map(Vec::len).sum::<usize>() as u64);
-        Rdd::new(
-            self.clone(),
-            partitions,
-            Arc::new(SourceOp { parts }),
-        )
+        Rdd::new(self.clone(), partitions, Arc::new(SourceOp { parts }))
     }
 }
 
-/// How a partition of this RDD is derived.
+/// How a partition of this RDD is derived. The partition comes back
+/// shared: ops that already hold it (sources, materialised shuffles) hand
+/// out their `Arc`, read-only consumers borrow through it, and only a
+/// consumer that needs ownership of a shared partition pays for a copy
+/// ([`take_partition`]).
 trait RddOp<T>: Send + Sync {
-    fn compute(&self, part: usize) -> Vec<T>;
+    fn compute(&self, part: usize) -> Arc<Vec<T>>;
 }
 
 struct SourceOp<T> {
-    parts: Vec<Vec<T>>,
+    parts: Vec<Arc<Vec<T>>>,
 }
 
-impl<T: Clone + Send + Sync> RddOp<T> for SourceOp<T> {
-    fn compute(&self, part: usize) -> Vec<T> {
-        self.parts[part].clone()
+impl<T: Send + Sync> RddOp<T> for SourceOp<T> {
+    fn compute(&self, part: usize) -> Arc<Vec<T>> {
+        Arc::clone(&self.parts[part])
     }
 }
 
@@ -280,7 +278,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             self.ctx.metrics().add_cache_misses(1);
         }
         self.ctx.metrics().add_compute_calls(1);
-        let data = Arc::new(self.op.compute(part));
+        let data = self.op.compute(part);
         if self.storage != StorageLevel::None {
             let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
             self.ctx.inner.cache.put(
@@ -294,32 +292,41 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     }
 
     fn compute_all(&self) -> Vec<Arc<Vec<T>>> {
-        self.ctx
-            .metrics()
-            .add_tasks_launched(self.partitions as u64);
+        self.run_tasks(|_, part| part)
+    }
+
+    /// Stage = this RDD: one task per partition computes it and hands it to
+    /// `then` inside the same task. Under an active fault plan the compute
+    /// is recoverable — a retry walks the RddOp chain again, so persisted
+    /// ancestors come back from the cache instead of being recomputed
+    /// (lineage recovery).
+    fn run_tasks<U, F>(&self, then: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize, Arc<Vec<T>>) -> U + Sync,
+    {
+        let metrics = self.ctx.metrics();
+        metrics.add_tasks_launched(self.partitions as u64);
         let plan = self.ctx.faults();
         let cancel = self.ctx.cancel_token();
-        let mode = self.ctx.config().executor;
-        if !plan.active() {
-            return runtime::run_stage(mode, self.ctx.metrics(), self.partitions, |p| {
-                check_cancelled(cancel, self.ctx.metrics(), self.id as u64, p);
+        let stage = self.id as u64;
+        runtime::run_stage(self.ctx.config().executor, metrics, self.partitions, |p| {
+            let part = if plan.active() {
+                run_recoverable(
+                    plan,
+                    metrics,
+                    Some(&self.ctx.inner.stage_stats),
+                    RecoveryKind::Lineage,
+                    stage,
+                    p,
+                    cancel,
+                    &|| self.compute(p),
+                )
+            } else {
+                check_cancelled(cancel, metrics, stage, p);
                 self.compute(p)
-            });
-        }
-        // Stage = this RDD; one recoverable task per partition. A retry
-        // walks the RddOp chain again, so persisted ancestors come back
-        // from the cache instead of being recomputed (lineage recovery).
-        runtime::run_stage(mode, self.ctx.metrics(), self.partitions, |p| {
-            run_recoverable(
-                plan,
-                self.ctx.metrics(),
-                Some(&self.ctx.inner.stage_stats),
-                RecoveryKind::Lineage,
-                self.id as u64,
-                p,
-                cancel,
-                &|| self.compute(p),
-            )
+            };
+            then(p, part)
         })
     }
 
@@ -456,8 +463,8 @@ where
     U: Send + Sync,
     F: Fn(Arc<Vec<T>>) -> Vec<U> + Send + Sync,
 {
-    fn compute(&self, part: usize) -> Vec<U> {
-        (self.f)(self.parent.compute(part))
+    fn compute(&self, part: usize) -> Arc<Vec<U>> {
+        Arc::new((self.f)(self.parent.compute(part)))
     }
 }
 
@@ -718,26 +725,25 @@ where
             }
             let mut attempt: u32 = 0;
             let reduce_inputs = loop {
-                // Map side: digest every routed batch at write time, then
-                // (under an active plan) damage one shipped batch *after*
-                // its digest was taken — the stale digest is what the read
-                // side must catch.
-                let map_outputs: Vec<Vec<Vec<Sealed<B>>>> =
-                    runtime::run_stage_items(mode, ctx.metrics(), parent.compute_all(), |mp, p| {
-                        let mut out: Vec<Vec<Sealed<B>>> =
-                            (0..partitions).map(|_| Vec::new()).collect();
-                        for (idx, batch) in take_partition(p) {
-                            assert!(idx < partitions, "batch routed to partition {idx} of {partitions}");
-                            ctx.metrics().add_records_shuffled(batch.rows() as u64);
-                            ctx.metrics().add_bytes_shuffled(batch.bytes() as u64);
-                            ctx.metrics().add_batches_processed(1);
-                            out[idx].push(seal(batch, seed, ctx.metrics()));
-                        }
-                        if let Some((kind, salt)) = plan.corrupt_decision(stage, mp, attempt) {
-                            corrupt_one(&mut out, kind, salt);
-                        }
-                        out
-                    });
+                // Map side: each map task digests the batches it routed, at
+                // write time, then (under an active plan) damages one
+                // shipped batch *after* its digest was taken — the stale
+                // digest is what the read side must catch.
+                let map_outputs: Vec<Vec<Vec<Sealed<B>>>> = parent.run_tasks(|mp, p| {
+                    let mut out: Vec<Vec<Sealed<B>>> =
+                        (0..partitions).map(|_| Vec::new()).collect();
+                    for (idx, batch) in take_partition(p) {
+                        assert!(idx < partitions, "batch routed to partition {idx} of {partitions}");
+                        ctx.metrics().add_records_shuffled(batch.rows() as u64);
+                        ctx.metrics().add_bytes_shuffled(batch.bytes() as u64);
+                        ctx.metrics().add_batches_processed(1);
+                        out[idx].push(seal(batch, seed, ctx.metrics()));
+                    }
+                    if let Some((kind, salt)) = plan.corrupt_decision(stage, mp, attempt) {
+                        corrupt_one(&mut out, kind, salt);
+                    }
+                    out
+                });
                 let reduce_inputs = exchange(map_outputs);
                 // Read side: recompute every digest before any reducer
                 // touches the rows. A mismatch poisons the whole reduce
@@ -955,11 +961,11 @@ struct UnionOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for UnionOp<T> {
-    fn compute(&self, part: usize) -> Vec<T> {
+    fn compute(&self, part: usize) -> Arc<Vec<T>> {
         if part < self.split {
-            take_partition(self.left.compute(part))
+            self.left.compute(part)
         } else {
-            take_partition(self.right.compute(part - self.split))
+            self.right.compute(part - self.split)
         }
     }
 }
@@ -971,14 +977,15 @@ struct SampleOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for SampleOp<T> {
-    fn compute(&self, part: usize) -> Vec<T> {
+    fn compute(&self, part: usize) -> Arc<Vec<T>> {
         // Deterministic per-record coin flips from a splitmix stream.
         let data = self.parent.compute(part);
         let mut x = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(part as u64);
-        data.iter()
+        let sampled = data
+            .iter()
             .filter(|_| {
                 x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 let mut z = x;
@@ -988,7 +995,8 @@ impl<T: Clone + Send + Sync + 'static> RddOp<T> for SampleOp<T> {
                 u < self.fraction
             })
             .cloned()
-            .collect()
+            .collect();
+        Arc::new(sampled)
     }
 }
 
@@ -998,7 +1006,7 @@ struct CoalesceOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for CoalesceOp<T> {
-    fn compute(&self, part: usize) -> Vec<T> {
+    fn compute(&self, part: usize) -> Arc<Vec<T>> {
         let parents = self.parent.num_partitions();
         let mut out = Vec::new();
         // Partition `part` owns the parent partitions ≡ part (mod n).
@@ -1007,7 +1015,7 @@ impl<T: Clone + Send + Sync + 'static> RddOp<T> for CoalesceOp<T> {
             out.append(&mut take_partition(self.parent.compute(p)));
             p += self.n;
         }
-        out
+        Arc::new(out)
     }
 }
 
@@ -1025,8 +1033,8 @@ where
     U: Send + Sync,
     F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
 {
-    fn compute(&self, part: usize) -> Vec<U> {
-        (self.f)(part, &self.parent.compute(part))
+    fn compute(&self, part: usize) -> Arc<Vec<U>> {
+        Arc::new((self.f)(part, &self.parent.compute(part)))
     }
 }
 
@@ -1037,7 +1045,7 @@ where
 struct ShuffleOp<T> {
     partitions: usize,
     materialise: Box<dyn Fn() -> Vec<Vec<T>> + Send + Sync>,
-    output: OnceLock<Vec<Vec<T>>>,
+    output: OnceLock<Vec<Arc<Vec<T>>>>,
 }
 
 impl<T> ShuffleOp<T> {
@@ -1053,14 +1061,13 @@ impl<T> ShuffleOp<T> {
     }
 }
 
-impl<T> RddOp<T> for ShuffleOp<T>
-where
-    T: Clone + Send + Sync,
-{
-    fn compute(&self, part: usize) -> Vec<T> {
+impl<T: Send + Sync> RddOp<T> for ShuffleOp<T> {
+    fn compute(&self, part: usize) -> Arc<Vec<T>> {
         debug_assert!(part < self.partitions);
-        let all = self.output.get_or_init(|| (self.materialise)());
-        all[part].clone()
+        let all = self
+            .output
+            .get_or_init(|| (self.materialise)().into_iter().map(Arc::new).collect());
+        Arc::clone(&all[part])
     }
 }
 
@@ -1080,6 +1087,28 @@ mod tests {
         let mut all = rdd.collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn sources_and_read_only_consumers_clone_no_element() {
+        use std::sync::atomic::AtomicUsize;
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        struct Counted(u32);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0)
+            }
+        }
+        let sc = ctx();
+        let rdd = sc.parallelize((0..100).map(Counted).collect(), 4);
+        let sums = rdd.map_partitions(|part| vec![part.iter().map(|c| c.0).sum::<u32>()]);
+        assert_eq!(sums.count(), 4);
+        assert_eq!(sums.collect().iter().sum::<u32>(), 4950);
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0, "split, serve and borrow by move");
+        // Ownership of a partition the source still holds is the one copy.
+        assert_eq!(rdd.collect().len(), 100);
+        assert_eq!(CLONES.load(Ordering::Relaxed), 100);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use flowmark_core::config::Framework;
 use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::plan::{IterationKind, LogicalPlan};
 use flowmark_engine::flink::FlinkEnv;
+use flowmark_engine::graphx::Graph;
 use flowmark_engine::iterate::{vertex_centric_with_combiner, IterationMode, PartitionedGraph};
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::IterationError;
@@ -115,56 +116,41 @@ pub fn run_flink(
     )
 }
 
-/// Runs Connected Components on the staged engine: RDD label propagation
-/// with a join per round (GraphX-like), loop-unrolled by the driver.
+/// Runs Connected Components on the staged engine, GraphX-style: one
+/// `aggregate_messages` wave per round over the persisted edge RDD sends
+/// each endpoint's label to the other (no undirected closure is built),
+/// `min`-combined; the driver unrolls the loop until no label drops.
 pub fn run_spark(
     sc: &SparkContext,
     edges: &[(u64, u64)],
     max_rounds: u32,
     partitions: usize,
 ) -> HashMap<u64, u64> {
-    use flowmark_engine::cache::StorageLevel;
-    let sym: Vec<(u64, u64)> = edges
-        .iter()
-        .flat_map(|&(s, t)| [(s, t), (t, s)])
-        .collect();
-    let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
-    for &(s, t) in &sym {
-        adj.entry(s).or_default().push(t);
-    }
-    let links = sc
-        .parallelize(adj.into_iter().collect::<Vec<_>>(), partitions)
-        .persist(StorageLevel::MemoryOnly);
-    let mut labels: HashMap<u64, u64> = links.map(|(v, _)| (*v, *v)).collect_as_map();
+    let graph = Graph::load(sc, edges, partitions);
+    let mut labels: Vec<u64> = graph.ids.to_vec();
     for _ in 0..max_rounds {
         let current = labels.clone();
-        let msgs = links.flat_map(move |(v, ns)| {
-            let l = current.get(v).copied().unwrap_or(*v);
-            ns.iter().map(|&t| (t, l)).collect::<Vec<_>>()
-        });
-        // Map-side combine == sender-side message combining (counter delta).
-        let combine_in = sc.metrics().combine_input();
-        let combine_out = sc.metrics().combine_output();
-        let mins = msgs.reduce_by_key(|a, b| *a = (*a).min(b)).collect_as_map();
-        sc.metrics().add_messages_combined(
-            (sc.metrics().combine_input() - combine_in)
-                .saturating_sub(sc.metrics().combine_output() - combine_out),
+        let mins = graph.aggregate_messages(
+            move |src, targets, out| {
+                for &t in targets {
+                    out.to(t, current[src as usize]);
+                    out.to(src, current[t as usize]);
+                }
+            },
+            u64::min,
         );
         let mut changed = false;
-        for (v, l) in labels.iter_mut() {
-            if let Some(m) = mins.get(v) {
-                if m < l {
-                    *l = *m;
-                    changed = true;
-                }
+        for (v, l) in labels.iter_mut().enumerate() {
+            if let Some(m) = mins.get(v).filter(|m| m < l) {
+                *l = m;
+                changed = true;
             }
         }
-        sc.metrics().add_iterations_run(1);
         if !changed {
             break;
         }
     }
-    labels
+    graph.zip_ids(labels)
 }
 
 /// Sequential oracle: union-find.

@@ -14,6 +14,7 @@ use flowmark_core::config::Framework;
 use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::plan::{CostAnnotation, ExchangeMode, IterationKind, LogicalPlan};
 use flowmark_engine::flink::FlinkEnv;
+use flowmark_engine::graphx::Graph;
 use flowmark_engine::iterate::{vertex_centric_with_combiner, IterationMode, PartitionedGraph};
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::IterationError;
@@ -228,55 +229,36 @@ pub fn run_flink(
     Ok(values.into_iter().map(|(v, (r, _))| (v, r)).collect())
 }
 
-/// Runs Page Rank on the staged engine with the classic RDD join loop
-/// (loop unrolling, ranks recomputed via shuffle each round).
+/// Runs Page Rank on the staged engine, GraphX-style: the graph is loaded
+/// once into a persisted edge RDD and every iteration is one
+/// `aggregate_messages` wave (loop unrolling) — ranks are broadcast, shares
+/// summed per destination on the map side, shuffled and merged.
 pub fn run_spark(
     sc: &SparkContext,
     edges: &[(u64, u64)],
     iterations: u32,
     partitions: usize,
 ) -> HashMap<u64, f64> {
-    use flowmark_engine::cache::StorageLevel;
-    // Adjacency lists, persisted like GraphX keeps the graph.
-    let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
-    for &(s, t) in edges {
-        adj.entry(s).or_default().push(t);
-        adj.entry(t).or_default();
-    }
-    let n = adj.len() as f64;
+    let graph = Graph::load(sc, edges, partitions);
+    let n = graph.ids.len() as f64;
     let base = (1.0 - DAMPING) / n;
-    let links = sc
-        .parallelize(adj.into_iter().collect::<Vec<_>>(), partitions)
-        .persist(StorageLevel::MemoryOnly);
-    let mut ranks: HashMap<u64, f64> = links
-        .map(move |(v, _)| (*v, 1.0 / n))
-        .collect_as_map();
+    let mut ranks = vec![1.0 / n; graph.ids.len()];
     for _ in 0..iterations {
         let current = ranks.clone();
-        let contribs = links.flat_map(move |(v, ns)| {
-            let r = current.get(v).copied().unwrap_or(0.0);
-            if ns.is_empty() {
-                Vec::new()
-            } else {
-                let share = r / ns.len() as f64;
-                ns.iter().map(|&t| (t, share)).collect::<Vec<_>>()
-            }
-        });
-        // The wave's map-side combine is the staged engine's sender-side
-        // message combining; the counter deltas measure what it eliminated.
-        let combine_in = sc.metrics().combine_input();
-        let combine_out = sc.metrics().combine_output();
-        let sums = contribs.reduce_by_key(|a, b| *a += b).collect_as_map();
-        sc.metrics().add_messages_combined(
-            (sc.metrics().combine_input() - combine_in)
-                .saturating_sub(sc.metrics().combine_output() - combine_out),
+        let sums = graph.aggregate_messages(
+            move |src, targets, out| {
+                let share = current[src as usize] / targets.len() as f64;
+                for &t in targets {
+                    out.to(t, share);
+                }
+            },
+            |a: f64, b| a + b,
         );
-        for (v, r) in ranks.iter_mut() {
-            *r = base + DAMPING * sums.get(v).copied().unwrap_or(0.0);
+        for (v, r) in ranks.iter_mut().enumerate() {
+            *r = base + DAMPING * sums.get(v).unwrap_or(0.0);
         }
-        sc.metrics().add_iterations_run(1);
     }
-    ranks
+    graph.zip_ids(ranks)
 }
 
 /// Sequential oracle.
@@ -336,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn spark_join_loop_matches_oracle() {
+    fn spark_aggregate_messages_loop_matches_oracle() {
         let edges = test_edges();
         let expect = oracle(&edges, 10);
         let sc = SparkContext::new(4, 64 << 20);

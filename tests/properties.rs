@@ -604,32 +604,50 @@ proptest! {
     }
 }
 
+/// Random edges over `0..n` plus every shape the dense-id CSR build has to
+/// get right: a self-loop, a triplicated edge, a sink-only vertex behind a
+/// sparse id, and a pair no other edge touches (its source nothing reaches,
+/// its target isolated). Small `n` leaves fewer vertices than partitions.
+fn awkward_graph() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    (1u64..30, prop::collection::vec((0u64..1000, 0u64..1000), 1..150)).prop_map(|(n, raw)| {
+        let mut edges: Vec<(u64, u64)> = raw.into_iter().map(|(s, t)| (s % n, t % n)).collect();
+        let first = edges[0];
+        edges.extend([(0, 0), first, first, (n - 1, 5_000), (7_000, 9_000)]);
+        edges
+    })
+}
+
+/// Partition counts the staged graph layer is exercised at, 7 being more
+/// than some of the graphs have vertices.
+const GRAPH_PARTITIONS: [usize; 4] = [1, 2, 3, 7];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Page Rank agrees across the staged RDD join loop, the pipelined
-    /// vertex-centric runtime (sum combiner active) and the sequential
-    /// oracle on random graphs — the cross-engine guarantee the CSR /
-    /// message-combining rewrite must preserve.
+    /// Page Rank agrees across the staged `aggregate_messages` loop, the
+    /// pipelined vertex-centric runtime (sum combiner active) and the
+    /// sequential oracle on random graphs — the cross-engine guarantee the
+    /// CSR / message-combining rewrites must preserve.
     #[test]
     fn engines_agree_on_pagerank_for_any_graph(
-        edges in prop::collection::vec((0u64..40, 0u64..40), 1..200),
-        partitions in 1usize..5,
+        edges in awkward_graph(),
         iterations in 1u32..6,
     ) {
         use flowmark_workloads::pagerank;
         let expect = pagerank::oracle(&edges, iterations);
-        let sc = SparkContext::new(partitions, 16 << 20);
-        let spark = pagerank::run_spark(&sc, &edges, iterations, partitions);
-        prop_assert_eq!(spark.len(), expect.len());
-        for (v, r) in &spark {
-            prop_assert!((r - expect[v]).abs() < 1e-9, "spark rank({}) drifted", v);
-        }
-        let env = FlinkEnv::new(partitions);
-        let flink = pagerank::run_flink(&env, &edges, iterations, partitions).unwrap();
-        prop_assert_eq!(flink.len(), expect.len());
-        for (v, r) in &flink {
-            prop_assert!((r - expect[v]).abs() < 1e-9, "flink rank({}) drifted", v);
+        for partitions in GRAPH_PARTITIONS {
+            let sc = SparkContext::new(partitions, 16 << 20);
+            let spark = pagerank::run_spark(&sc, &edges, iterations, partitions);
+            prop_assert_eq!(spark.len(), expect.len());
+            for (v, r) in &spark {
+                prop_assert!((r - expect[v]).abs() < 1e-9, "spark rank({}) drifted", v);
+            }
+            let env = FlinkEnv::new(partitions);
+            let flink = pagerank::run_flink(&env, &edges, iterations, partitions).unwrap();
+            prop_assert_eq!(flink.len(), expect.len());
+            for (v, r) in &flink {
+                prop_assert!((r - expect[v]).abs() < 1e-9, "flink rank({}) drifted", v);
+            }
         }
     }
 
@@ -637,42 +655,41 @@ proptest! {
     /// GraphX-style pregel layer, flink bulk AND delta vertex-centric
     /// iterations (min combiner active), and the union-find oracle.
     #[test]
-    fn engines_agree_on_connected_components_for_any_graph(
-        edges in prop::collection::vec((0u64..40, 0u64..40), 1..200),
-        partitions in 1usize..5,
-    ) {
+    fn engines_agree_on_connected_components_for_any_graph(edges in awkward_graph()) {
         use flowmark_workloads::connected::{self, CcVariant};
         let expect = connected::oracle(&edges);
-        let sc = SparkContext::new(partitions, 16 << 20);
-        let spark = connected::run_spark(&sc, &edges, 200, partitions);
-        prop_assert_eq!(&spark, &expect);
-        let pregel =
-            flowmark_engine::graphx::connected_components(&sc, &edges, partitions, 200);
-        prop_assert_eq!(&pregel, &expect);
-        let env = FlinkEnv::new(partitions);
-        let bulk = connected::run_flink(&env, &edges, 200, partitions, CcVariant::Bulk, None)
-            .unwrap();
-        prop_assert_eq!(&bulk, &expect);
-        let delta = connected::run_flink(&env, &edges, 200, partitions, CcVariant::Delta, None)
-            .unwrap();
-        prop_assert_eq!(&delta, &expect);
+        for partitions in GRAPH_PARTITIONS {
+            let sc = SparkContext::new(partitions, 16 << 20);
+            let spark = connected::run_spark(&sc, &edges, 200, partitions);
+            prop_assert_eq!(&spark, &expect);
+            let pregel =
+                flowmark_engine::graphx::connected_components(&sc, &edges, partitions, 200);
+            prop_assert_eq!(&pregel, &expect);
+            let env = FlinkEnv::new(partitions);
+            let bulk = connected::run_flink(&env, &edges, 200, partitions, CcVariant::Bulk, None)
+                .unwrap();
+            prop_assert_eq!(&bulk, &expect);
+            let delta =
+                connected::run_flink(&env, &edges, 200, partitions, CcVariant::Delta, None)
+                    .unwrap();
+            prop_assert_eq!(&delta, &expect);
+        }
     }
 
     /// SSSP agrees between the Gelly-style delta iteration (min combiner),
     /// the GraphX-style pregel driver, and a BFS oracle.
     #[test]
-    fn graph_libraries_agree_on_sssp_for_any_graph(
-        edges in prop::collection::vec((0u64..30, 0u64..30), 1..150),
-        partitions in 1usize..5,
-    ) {
+    fn graph_libraries_agree_on_sssp_for_any_graph(edges in awkward_graph()) {
         use flowmark_engine::{gelly, graphx};
         let expect = gelly::bfs_oracle(&edges, 0);
-        let env = FlinkEnv::new(partitions);
-        let pipelined = gelly::sssp(&env, &edges, 0, partitions, 200).unwrap();
-        prop_assert_eq!(&pipelined, &expect);
-        let sc = SparkContext::new(partitions, 16 << 20);
-        let staged = graphx::sssp(&sc, &edges, 0, partitions, 200);
-        prop_assert_eq!(&staged, &expect);
+        for partitions in GRAPH_PARTITIONS {
+            let env = FlinkEnv::new(partitions);
+            let pipelined = gelly::sssp(&env, &edges, 0, partitions, 200).unwrap();
+            prop_assert_eq!(&pipelined, &expect);
+            let sc = SparkContext::new(partitions, 16 << 20);
+            let staged = graphx::sssp(&sc, &edges, 0, partitions, 200);
+            prop_assert_eq!(&staged, &expect);
+        }
     }
 
     /// Every window an assigner hands out actually contains the event
