@@ -26,8 +26,8 @@ impl Default for FxHasher64 {
 
 impl Hasher for FxHasher64 {
     // `#[inline]` matters here: these non-generic methods otherwise stay
-    // opaque across the crate boundary, and `fxhash` sits on the per-message
-    // routing path of the iteration runtimes (`PartitionedGraph::owner`).
+    // opaque across the crate boundary, and `fxhash` sits on the per-record
+    // routing path of the hash partitioner.
     #[inline]
     fn finish(&self) -> u64 {
         self.state

@@ -2,10 +2,12 @@
 //! ids — the one builder both engines' graph layers start from.
 //!
 //! [`DenseCsr::from_edges`] turns an edge list into a sorted id dictionary
-//! plus `u32` offsets/targets. The pipelined engine's
-//! [`crate::iterate::PartitionedGraph`] deals its rows to hash partitions;
-//! the staged engine's [`crate::graphx::Graph`] [`cut`](DenseCsr::cut)s them
-//! into contiguous [`EdgePartition`]s, the elements of its edge RDD.
+//! plus `u32` offsets/targets. Both engines split its rows at
+//! [`bounds`](DenseCsr::bounds) balanced by edge count: the pipelined
+//! engine's [`crate::iterate::PartitionedGraph`] keeps the rows whole and
+//! hands each iteration worker a word-aligned range of them; the staged
+//! engine's [`crate::graphx::Graph`] [`cut`](DenseCsr::cut)s them into
+//! [`EdgePartition`]s, the elements of its edge RDD.
 
 use crate::hash::FxHashMap;
 
@@ -85,21 +87,64 @@ impl DenseCsr {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// Cuts the rows into `parts` contiguous ranges of equal edge count
-    /// (a range may be empty), so map tasks scanning them stay balanced
-    /// however skewed the degrees are.
-    pub fn cut(&self, parts: usize) -> Vec<EdgePartition> {
-        let (nv, ne) = (self.vertices(), self.targets.len());
-        let bound = |p: usize| {
-            if p == parts {
-                nv
-            } else {
-                self.offsets[..nv].partition_point(|&o| (o as usize) < ne * p / parts)
-            }
+    /// The same vertices with every edge in both directions: row `v` holds
+    /// its out-neighbours and its in-neighbours (a self-loop twice), what
+    /// `from_edges` builds from the edge list plus its reverse — here as a
+    /// transpose-degree count and a cursor fill, with no second dictionary.
+    pub fn undirected(self) -> Self {
+        let nv = self.vertices();
+        let mut offsets = vec![0u32; nv + 1];
+        for v in 0..nv {
+            offsets[v + 1] = self.offsets[v + 1] - self.offsets[v];
+        }
+        for &t in &self.targets {
+            offsets[t as usize + 1] += 1;
+        }
+        for v in 0..nv {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursors = offsets[..nv].to_vec();
+        let mut targets = vec![0u32; 2 * self.targets.len()];
+        let mut push = |row: u32, neighbour: u32| {
+            let c = &mut cursors[row as usize];
+            targets[*c as usize] = neighbour;
+            *c += 1;
         };
-        (0..parts)
-            .map(|p| {
-                let (a, b) = (bound(p), bound(p + 1));
+        for v in 0..nv {
+            for &t in self.row(v) {
+                push(v as u32, t);
+                push(t, v as u32);
+            }
+        }
+        Self {
+            ids: self.ids,
+            offsets,
+            targets,
+        }
+    }
+
+    /// Row bounds of `parts` contiguous ranges of equal edge count (a range
+    /// may be empty), each rounded up to a multiple of `align`; the last
+    /// covers every row. Splitting rows evenly instead would hand the first
+    /// range most of a skewed graph's edges.
+    pub fn bounds(&self, parts: usize, align: usize) -> Vec<usize> {
+        let (nv, ne) = (self.vertices(), self.targets.len());
+        let end = nv.next_multiple_of(align);
+        let bound = |p: usize| {
+            self.offsets[..nv]
+                .partition_point(|&o| (o as usize) < ne * p / parts)
+                .next_multiple_of(align)
+        };
+        (0..parts).map(bound).chain([end]).collect()
+    }
+
+    /// Cuts the rows into `parts` [`bounds`](Self::bounds), so map tasks
+    /// scanning them stay balanced however skewed the degrees are.
+    pub fn cut(&self, parts: usize) -> Vec<EdgePartition> {
+        self.bounds(parts, 1)
+            .windows(2)
+            .map(|w| {
+                let (a, b) = (w[0], w[1]);
                 let (lo, hi) = (self.offsets[a], self.offsets[b]);
                 EdgePartition {
                     first: a as u32,
@@ -149,6 +194,55 @@ mod tests {
             "a sink-only vertex owns an empty row"
         );
         assert_eq!(DenseCsr::from_edges(&[]).offsets, vec![0]);
+    }
+
+    #[test]
+    fn undirected_matches_the_builder_on_the_symmetric_edge_list() {
+        // A self-loop, a triplicated edge, a sink-only vertex behind a
+        // sparse id, and a pair nothing else touches.
+        let edges = [
+            (0u64, 0),
+            (4, 2),
+            (4, 2),
+            (4, 2),
+            (2, 9),
+            (9, 4),
+            (1, 9),
+            (3, 5_000),
+            (7_000, 9_000),
+        ];
+        let sym: Vec<(u64, u64)> = edges.iter().flat_map(|&(s, t)| [(s, t), (t, s)]).collect();
+        let got = DenseCsr::from_edges(&edges).undirected();
+        let expect = DenseCsr::from_edges(&sym);
+        assert_eq!(got.ids, expect.ids);
+        assert_eq!(got.offsets, expect.offsets);
+        // Rows agree as multisets: the builder interleaves the two
+        // directions in edge-list order, the array pass goes row by row.
+        let sorted_rows = |csr: &DenseCsr| -> Vec<Vec<u32>> {
+            (0..csr.vertices())
+                .map(|v| {
+                    let mut row = csr.row(v).to_vec();
+                    row.sort_unstable();
+                    row
+                })
+                .collect()
+        };
+        assert_eq!(sorted_rows(&got), sorted_rows(&expect));
+        assert_eq!(got.row(0), [0, 0], "a self-loop is its own reverse");
+        assert_eq!(DenseCsr::from_edges(&[]).undirected().offsets, vec![0]);
+    }
+
+    #[test]
+    fn bounds_round_up_to_the_alignment_and_cover_every_row() {
+        // One hub with 60 out-edges ahead of 40 single-edge rows.
+        let mut edges: Vec<(u64, u64)> = (0..60).map(|t| (0, 100 + t)).collect();
+        edges.extend((1..41).map(|s| (s, 0)));
+        let csr = DenseCsr::from_edges(&edges);
+        assert_eq!(csr.vertices(), 101);
+        assert_eq!(csr.bounds(3, 1), vec![0, 1, 7, 101]);
+        assert_eq!(csr.bounds(3, 4), vec![0, 4, 8, 104]);
+        assert_eq!(csr.bounds(3, 64), vec![0, 64, 64, 128]);
+        assert_eq!(DenseCsr::from_edges(&[]).bounds(2, 64), vec![0, 0, 0]);
     }
 
     #[test]

@@ -11,16 +11,16 @@
 
 use std::collections::HashMap;
 
+use crate::csr::DenseCsr;
 use crate::flink::FlinkEnv;
-use crate::iterate::{
-    vertex_centric_with_combiner, IterationError, IterationMode, PartitionedGraph,
-};
+use crate::iterate::{vertex_centric, IterationError, IterationMode, PartitionedGraph};
 
 /// Out-degree of every vertex (Gelly's `outDegrees`, used by Page Rank's
-/// setup phase). Thin wrapper over the degrees CSR construction already
-/// computes — see [`PartitionedGraph::out_degrees`].
+/// setup phase), read straight off the offsets CSR construction computes.
 pub fn out_degrees(edges: &[(u64, u64)]) -> HashMap<u64, u64> {
-    PartitionedGraph::from_edges(edges, 1).out_degrees()
+    let csr = DenseCsr::from_edges(edges);
+    let degrees = csr.offsets.windows(2).map(|w| u64::from(w[1] - w[0]));
+    csr.ids.iter().copied().zip(degrees).collect()
 }
 
 /// Single-source shortest paths on an unweighted directed graph, as a
@@ -36,30 +36,27 @@ pub fn sssp(
     max_rounds: u32,
 ) -> Result<HashMap<u64, u64>, IterationError> {
     let graph = PartitionedGraph::from_edges(edges, partitions);
-    let values = vertex_centric_with_combiner(
+    vertex_centric(
         env,
         &graph,
-        |v, _| if v == source { 0u64 } else { u64::MAX },
-        &move |_v, dist: &u64, msgs: &[u64], ns: &[u64]| {
-            let candidate = msgs.iter().copied().min().map_or(*dist, |m| m.min(*dist));
-            let changed = candidate < *dist;
+        |v| if v == source { 0u64 } else { u64::MAX },
+        |v, out| {
+            let relaxed = v.message.filter(|m| m < v.value);
+            if let Some(shorter) = relaxed {
+                *v.value = shorter;
+            }
             // On the first superstep only the source scatters.
-            let should_scatter = changed || (msgs.is_empty() && candidate == 0);
-            let out = if should_scatter && candidate != u64::MAX {
-                ns.iter().map(|&t| (t, candidate + 1)).collect()
-            } else {
-                Vec::new()
-            };
-            (candidate, changed, out)
+            if relaxed.is_some() || (v.superstep == 0 && *v.value == 0) {
+                v.targets.iter().for_each(|&t| out.to(t, *v.value + 1));
+            }
         },
         // Distances fold with `min`: combine before the channel.
-        Some(u64::min),
+        u64::min,
         max_rounds,
         IterationMode::Delta {
             solution_set_budget: None,
         },
-    )?;
-    Ok(values)
+    )
 }
 
 /// Reference BFS used to validate [`sssp`].

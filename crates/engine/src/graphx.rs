@@ -76,8 +76,8 @@ impl Graph {
                 for (src, targets) in parts.iter().flat_map(EdgePartition::rows) {
                     send(src, targets, &mut out);
                 }
-                let (table, eliminated) = out.finish();
-                metrics.add_messages_combined(eliminated as u64);
+                let table = out.table();
+                metrics.add_messages_combined((out.sent() - table.count()) as u64);
                 (0..partitions)
                     .filter_map(|d| Some((d, table.encode(d * slots..(d + 1) * slots)?)))
                     .collect()

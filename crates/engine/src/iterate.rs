@@ -16,25 +16,26 @@
 //!   the **solution set** lives in worker-local state and, like Flink's
 //!   CoGroup-managed solution set, *must fit in memory* — exceeding the
 //!   configured budget aborts with [`IterationError::SolutionSetOom`],
-//!   reproducing Table VII's failures).
+//!   reproducing Table VII's failures). Each worker keeps a range of dense
+//!   vertex ids for the whole iteration — values in a flat array, inbox in
+//!   a [`MessageTable`] — and the workers exchange sealed message batches
+//!   among themselves; the driver only deploys and joins them.
 //!
 //! Workers are OS threads deployed **once**; the `tasks_launched` metric
 //! therefore stays at the worker count no matter how many rounds run — the
 //! observable difference from the staged engine's loop unrolling.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::panic::{panic_any, resume_unwind};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-use flowmark_dataflow::partitioner::fxhash;
-
 use crate::csr::DenseCsr;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, IntegrityError};
 use crate::flink::FlinkEnv;
-use crate::hash::{fx_map_with_capacity, FxHashMap};
-use crate::memory::BufferPool;
+use crate::messages::{Lane, MessageBatch, MessageTable, Outbox};
 use crate::metrics::EngineMetrics;
+use crate::shuffle::{corrupt_one, seal, verify, Sealed, ShuffleBatch};
 
 /// Driver-side fault handling shared by both iteration runtimes: decides,
 /// per superstep, whether to inject a straggler pause or a failure that
@@ -196,109 +197,41 @@ where
     })
 }
 
-/// One partition's adjacency in CSR (compressed sparse row) form: vertex
-/// `i` of the partition owns out-neighbours
-/// `targets[offsets[i]..offsets[i + 1]]`. Two flat arrays replace the old
-/// per-vertex `Vec<u64>` lists, so a superstep walks contiguous memory
-/// instead of chasing one heap allocation per vertex.
-#[derive(Debug, Clone)]
-pub struct CsrPart {
-    /// Owned vertex ids, ascending; position = dense index.
-    pub vertex_ids: Vec<u64>,
-    /// CSR row starts into `targets`; `len == vertex_ids.len() + 1`.
-    pub offsets: Vec<u32>,
-    /// Concatenated out-neighbour lists, edge-list order per source.
-    pub targets: Vec<u64>,
-    /// Vertex id → dense index dictionary for message delivery.
-    index: FxHashMap<u64, u32>,
-}
-
-impl CsrPart {
-    /// Vertices owned by this partition.
-    pub fn len(&self) -> usize {
-        self.vertex_ids.len()
-    }
-
-    /// True when the partition owns no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.vertex_ids.is_empty()
-    }
-
-    /// Out-neighbours of the vertex at dense index `i`.
-    pub fn neighbours(&self, i: usize) -> &[u64] {
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Dense index of a vertex id, when owned here.
-    pub fn dense_index(&self, vertex: u64) -> Option<u32> {
-        self.index.get(&vertex).copied()
-    }
-}
-
-/// A hash-partitioned CSR adjacency representation.
+/// A graph laid out for [`vertex_centric`]: one [`DenseCsr`] whose rows are
+/// split among the iteration workers.
 #[derive(Debug, Clone)]
 pub struct PartitionedGraph {
-    /// Per-partition CSR adjacency.
-    pub parts: Vec<CsrPart>,
+    csr: DenseCsr,
+    /// Worker `w` owns dense vertices `bounds[w]..bounds[w + 1]`: contiguous
+    /// and balanced by out-edge count. Every bound is a multiple of 64 (the
+    /// last one padded past the last vertex), so an inbox is a whole number
+    /// of presence words and an outbox encodes a destination range as is.
+    bounds: Vec<usize>,
 }
 
 impl PartitionedGraph {
-    /// Builds the partitioned CSR out-adjacency from an edge list: one
-    /// [`DenseCsr`] pass, then each row is dealt to its owner in ascending
-    /// id order, so every partition's vertex list comes out sorted and its
-    /// adjacency keeps the edge-list order per source. Vertices that appear
-    /// only as targets get an empty row so that vertex programs see them.
+    /// Builds the out-adjacency of an edge list and splits it among
+    /// `partitions` workers. Vertices that appear only as targets own an
+    /// empty row, so vertex programs see them.
     pub fn from_edges(edges: &[(u64, u64)], partitions: usize) -> Self {
-        assert!(partitions > 0);
-        let csr = DenseCsr::from_edges(edges);
-        let per_part = csr.vertices() / partitions + 1;
-        let mut parts: Vec<CsrPart> = (0..partitions)
-            .map(|_| CsrPart {
-                vertex_ids: Vec::with_capacity(per_part),
-                offsets: Vec::with_capacity(per_part + 1),
-                targets: Vec::with_capacity(edges.len() / partitions + 1),
-                index: fx_map_with_capacity(per_part),
-            })
-            .collect();
-        for p in &mut parts {
-            p.offsets.push(0);
-        }
-        for (v, &id) in csr.ids.iter().enumerate() {
-            let p = &mut parts[Self::owner(id, partitions)];
-            p.index.insert(id, p.vertex_ids.len() as u32);
-            p.vertex_ids.push(id);
-            p.targets
-                .extend(csr.row(v).iter().map(|&t| csr.ids[t as usize]));
-            p.offsets.push(p.targets.len() as u32);
-        }
-        Self { parts }
+        Self::new(DenseCsr::from_edges(edges), partitions)
     }
 
-    /// Which partition owns a vertex.
-    pub fn owner(vertex: u64, partitions: usize) -> usize {
-        (fxhash(&vertex) % partitions as u64) as usize
+    /// Splits an adjacency already built among `partitions` workers.
+    pub fn new(csr: DenseCsr, partitions: usize) -> Self {
+        assert!(partitions > 0);
+        let bounds = csr.bounds(partitions, 64);
+        Self { csr, bounds }
     }
 
     /// Total vertex count.
     pub fn vertex_count(&self) -> usize {
-        self.parts.iter().map(CsrPart::len).sum()
+        self.csr.vertices()
     }
 
     /// Number of partitions.
     pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Out-degree of every vertex, read straight off the CSR offsets
-    /// (the degrees `from_edges` already computed).
-    pub fn out_degrees(&self) -> HashMap<u64, u64> {
-        let mut out: HashMap<u64, u64> = HashMap::with_capacity(self.vertex_count());
-        for p in &self.parts {
-            for (i, &v) in p.vertex_ids.iter().enumerate() {
-                out.insert(v, (p.offsets[i + 1] - p.offsets[i]) as u64);
-            }
-        }
-        out
+        self.bounds.len() - 1
     }
 }
 
@@ -316,305 +249,328 @@ pub enum IterationMode {
     },
 }
 
-/// One vertex's compute step: current value, incoming messages and
-/// out-neighbours in; new value (plus whether it changed) and outgoing
-/// `(target, message)` pairs out.
-pub type VertexCompute<VV, M> =
-    dyn Fn(u64, &VV, &[M], &[u64]) -> (VV, bool, Vec<(u64, M)>) + Send + Sync;
-
-/// An associative, commutative message combiner (Pregel's `Combiner`):
-/// folds two messages bound for the same vertex into one *before* they
-/// cross the channel. `sum` for Page Rank, `min` for CC/SSSP.
-pub type MessageCombiner<M> = fn(M, M) -> M;
-
-/// Runs a vertex-centric iteration without a message combiner; see
-/// [`vertex_centric_with_combiner`].
-pub fn vertex_centric<VV, M>(
-    env: &FlinkEnv,
-    graph: &PartitionedGraph,
-    init: impl Fn(u64, &[u64]) -> VV + Send + Sync,
-    compute: &VertexCompute<VV, M>,
-    max_rounds: u32,
-    mode: IterationMode,
-) -> Result<HashMap<u64, VV>, IterationError>
-where
-    VV: Clone + Send + Sync,
-    M: Clone + Send + Sync,
-{
-    vertex_centric_with_combiner(env, graph, init, compute, None, max_rounds, mode)
+/// What a vertex program sees of one active vertex in one superstep. It
+/// updates `value` in place and sends through the [`Outbox`] it is handed
+/// alongside, addressing neighbours by dense id as `targets` lists them.
+pub struct Vertex<'a, VV, M> {
+    /// Supersteps completed before this one; 0 is the initial scatter.
+    pub superstep: u32,
+    /// The vertex's dense id.
+    pub id: u32,
+    /// Its entry in the solution set.
+    pub value: &'a mut VV,
+    /// The combined message it received, if any.
+    pub message: Option<M>,
+    /// Its dense out-neighbours, edge-list order.
+    pub targets: &'a [u32],
 }
 
-/// Runs a vertex-centric iteration over a partitioned CSR graph.
+/// What a worker tells its peers about the step it is entering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Nothing to report: the superstep ran.
+    Go,
+    /// An injected failure hit this superstep.
+    Failed,
+    /// A batch of the previous step failed its digest at this worker.
+    Rotten,
+    /// This worker is unwinding: the iteration cannot finish.
+    Abort,
+}
+
+/// The unit on the worker mesh: one destination range's messages and the
+/// control that rides with them.
+struct Envelope {
+    step: u32,
+    from: usize,
+    verdict: Verdict,
+    /// The sender sent some vertex a message this superstep.
+    sent_any: bool,
+    batch: Sealed<MessageBatch>,
+}
+
+/// One worker's end of the P × P mesh.
+struct Mesh {
+    me: usize,
+    peers: Vec<Sender<Envelope>>,
+    inbox: Receiver<Envelope>,
+    /// Arrivals by step parity, then sender. A peer that holds everyone's
+    /// step `s` may send its step `s + 1` before a slow peer's step `s` gets
+    /// here — never its `s + 2`, which needs this worker's `s + 1`.
+    arrived: [Vec<Option<Envelope>>; 2],
+    have: [usize; 2],
+}
+
+impl Mesh {
+    /// Blocks until every worker's envelope for `step` is here and hands
+    /// them out in sender order; `None` when a peer aborted.
+    fn collect(&mut self, step: u32) -> Option<&mut [Option<Envelope>]> {
+        let side = (step % 2) as usize;
+        while self.have[side] < self.peers.len() {
+            let envelope = self.inbox.recv().expect("a worker holds its own sender");
+            if envelope.verdict == Verdict::Abort {
+                return None;
+            }
+            assert!(
+                envelope.step == step || envelope.step == step + 1,
+                "worker {} is at step {}, this one at {step}",
+                envelope.from,
+                envelope.step
+            );
+            let side = (envelope.step % 2) as usize;
+            self.have[side] += 1;
+            let from = envelope.from;
+            self.arrived[side][from] = Some(envelope);
+        }
+        self.have[side] = 0;
+        Some(&mut self.arrived[side])
+    }
+}
+
+impl Drop for Mesh {
+    /// A worker that unwinds tells its peers, which would otherwise wait
+    /// for its next envelope forever.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for (to, peer) in self.peers.iter().enumerate() {
+            if to != self.me {
+                // A peer that is gone too needs no telling.
+                let _ = peer.send(Envelope {
+                    step: 0,
+                    from: self.me,
+                    verdict: Verdict::Abort,
+                    sent_any: false,
+                    batch: (0, MessageBatch::default()),
+                });
+            }
+        }
+    }
+}
+
+/// Everything a worker rewinds on a failure: the superstep about to run,
+/// its slice of the solution set, and the messages waiting for it — whose
+/// presence bits are the delta workset.
+#[derive(Clone)]
+struct WorkerState<VV, M> {
+    round: u32,
+    values: Vec<VV>,
+    inbox: MessageTable<M>,
+}
+
+/// Runs a vertex-centric iteration over a partitioned graph.
 ///
-/// Workers (one per partition) are deployed once and keep their vertex
-/// values — the solution set — as a flat `Vec` indexed by the CSR dense
-/// id. Message routing happens at a per-round barrier (Flink's iteration
-/// sync, the "Sync Bulk Iteration" span of Fig 10); all superstep buffers
-/// circulate through [`BufferPool`]s so steady-state rounds allocate
-/// nothing.
-///
-/// When `combiner` is given, each worker pre-combines its outgoing
-/// messages per destination vertex in per-destination-partition outboxes
-/// before they cross the channel, and the messages eliminated are counted
-/// in the `messages_combined` metric.
+/// One worker per partition is deployed once and owns its vertices for the
+/// whole iteration. A superstep scans the active rows — all of them in
+/// [`IterationMode::Bulk`] and in superstep 0, the inbox's recipients
+/// otherwise — calling `compute`, which folds every message it sends into
+/// the worker's whole-graph [`Outbox`] with `combine` (the sender-side
+/// combining, counted into `messages_combined`). Each destination range
+/// then goes as one sealed [`MessageBatch`] straight to the worker that
+/// owns it, which absorbs its arrivals in sender order, so results repeat
+/// bit for bit. That exchange is a superstep's only hand-off and all
+/// control rides on it: whether anyone sent anything (delta termination),
+/// an injected failure and a batch that failed its digest reach every
+/// worker with the same step, and all rewind values and inbox to the last
+/// snapshot together; snapshots follow the plan's round interval.
 ///
 /// Returns the final vertex values, or [`IterationError::SolutionSetOom`]
-/// when a delta iteration's solution set exceeds its budget.
-pub fn vertex_centric_with_combiner<VV, M>(
+/// when a delta iteration's solution set exceeds its budget. Corruption
+/// that outlives the retry budget unwinds as a typed [`IntegrityError`].
+pub fn vertex_centric<VV, M, F>(
     env: &FlinkEnv,
     graph: &PartitionedGraph,
-    init: impl Fn(u64, &[u64]) -> VV + Send + Sync,
-    compute: &VertexCompute<VV, M>,
-    combiner: Option<MessageCombiner<M>>,
+    init: impl Fn(u64) -> VV + Sync,
+    compute: impl Fn(Vertex<'_, VV, M>, &mut Outbox<'_, M, F>) + Sync,
+    combine: F,
     max_rounds: u32,
     mode: IterationMode,
 ) -> Result<HashMap<u64, VV>, IterationError>
 where
-    VV: Clone + Send + Sync,
-    M: Clone + Send + Sync,
+    VV: Clone + Send,
+    M: Lane,
+    F: Fn(M, M) -> M + Sync,
 {
-    let n = graph.partitions();
-    if let IterationMode::Delta {
-        solution_set_budget: Some(budget),
-    } = mode
-    {
-        let needed = graph.vertex_count();
-        if needed > budget {
-            return Err(IterationError::SolutionSetOom { needed, budget });
-        }
-    }
-
-    // Messages exchanged between driver and workers each superstep.
-    enum ToWorker<M> {
-        Round(Vec<(u64, M)>),
-        /// Checkpoint the worker-local solution set (kept worker-side, like
-        /// Flink snapshotting operator state to a state backend).
-        Snapshot,
-        /// Rewind the solution set to the last snapshot.
-        Restore,
-        Finish,
-    }
-    struct FromWorker<M, VV> {
-        part: usize,
-        /// Outgoing messages, pre-routed per destination partition.
-        outgoing: Vec<Vec<(u64, M)>>,
-        values: Option<Vec<(u64, VV)>>,
-    }
-
-    // Superstep buffers circulate driver ↔ workers through these pools:
-    // `msg_pool` recycles the flat `(target, message)` vectors, `box_pool`
-    // the per-destination carriers.
-    let msg_pool: BufferPool<(u64, M)> = BufferPool::new(n * (n + 2));
-    let box_pool: BufferPool<Vec<(u64, M)>> = BufferPool::new(n);
-    let msg_pool = &msg_pool;
-    let box_pool = &box_pool;
-
-    let init = &init;
-    std::thread::scope(|scope| {
-        let mut to_workers: Vec<Sender<ToWorker<M>>> = Vec::with_capacity(n);
-        let (from_tx, from_rx) = bounded::<FromWorker<M, VV>>(n);
-        for (p, part) in graph.parts.iter().enumerate() {
-            let (tx, rx): (Sender<ToWorker<M>>, _) = bounded(1);
-            to_workers.push(tx);
-            let from_tx = from_tx.clone();
-            let env2 = env.clone();
-            scope.spawn(move || {
-                env2.metrics().add_tasks_launched(1);
-                let nv = part.len();
-                // Worker-local solution set, maintained across rounds:
-                // a dense array indexed by the CSR dense id.
-                let mut values: Vec<VV> = part
-                    .vertex_ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| init(v, part.neighbours(i)))
-                    .collect();
-                let is_delta = matches!(mode, IterationMode::Delta { .. });
-                let mut first_round = true;
-                // Last snapshot of (solution set, first-round flag); armed
-                // with the initial state so a failure before any checkpoint
-                // restarts the iteration from scratch.
-                let mut saved = env2
-                    .faults()
-                    .active()
-                    .then(|| (values.clone(), first_round));
-                // Dense inboxes, allocated once; each slot is cleared right
-                // after its vertex computes, so capacity carries over and
-                // steady-state supersteps stay allocation-free.
-                let mut inbox: Vec<Vec<M>> = (0..nv).map(|_| Vec::new()).collect();
-                // Sender-side combining state: one pre-combine map per
-                // destination partition, drained (capacity kept) per round.
-                let mut combine_boxes: Vec<FxHashMap<u64, M>> =
-                    (0..if combiner.is_some() { n } else { 0 })
-                        .map(|_| FxHashMap::default())
-                        .collect();
-                for msg in rx.iter() {
-                    let mut incoming = match msg {
-                        ToWorker::Round(m) => m,
-                        ToWorker::Snapshot => {
-                            env2.metrics().add_checkpoints_taken(1);
-                            // Byte-accounted as logical (id, value) entries,
-                            // exactly like the old map-backed solution set,
-                            // so Table VII budgets are unchanged.
-                            env2.metrics().add_checkpoint_bytes(
-                                (values.len() * std::mem::size_of::<(u64, VV)>()) as u64,
-                            );
-                            saved = Some((values.clone(), first_round));
-                            continue;
-                        }
-                        ToWorker::Restore => {
-                            let (v, f) = saved.clone().expect("snapshot armed at start");
-                            values = v;
-                            first_round = f;
-                            continue;
-                        }
-                        ToWorker::Finish => break,
-                    };
-                    // Deliver into the dense inbox slots.
-                    for (v, m) in incoming.drain(..) {
-                        let i = part.index[&v] as usize;
-                        inbox[i].push(m);
-                    }
-                    msg_pool.put(incoming);
-                    let mut outgoing: Vec<Vec<(u64, M)>> = box_pool.take(n);
-                    for _ in 0..n {
-                        outgoing.push(msg_pool.take(0));
-                    }
-                    let mut raw_sent = 0u64;
-                    // Dense-index order == ascending vertex-id order.
-                    for i in 0..nv {
-                        let active = !is_delta || first_round || !inbox[i].is_empty();
-                        if !active {
-                            continue;
-                        }
-                        let v = part.vertex_ids[i];
-                        let (new_value, changed, out) =
-                            compute(v, &values[i], &inbox[i], part.neighbours(i));
-                        inbox[i].clear();
-                        if changed || !is_delta {
-                            values[i] = new_value;
-                        }
-                        if changed || !is_delta || first_round {
-                            if let Some(c) = combiner {
-                                raw_sent += out.len() as u64;
-                                for (t, m) in out {
-                                    let dest = PartitionedGraph::owner(t, n);
-                                    match combine_boxes[dest].entry(t) {
-                                        Entry::Occupied(mut e) => {
-                                            let prev = e.get().clone();
-                                            e.insert(c(prev, m));
-                                        }
-                                        Entry::Vacant(e) => {
-                                            e.insert(m);
-                                        }
-                                    }
-                                }
-                            } else {
-                                for (t, m) in out {
-                                    outgoing[PartitionedGraph::owner(t, n)].push((t, m));
-                                }
-                            }
-                        }
-                    }
-                    if combiner.is_some() {
-                        let mut combined_sent = 0u64;
-                        for (dest, cbox) in combine_boxes.iter_mut().enumerate() {
-                            combined_sent += cbox.len() as u64;
-                            outgoing[dest].extend(cbox.drain());
-                        }
-                        env2.metrics()
-                            .add_messages_combined(raw_sent - combined_sent);
-                    }
-                    first_round = false;
-                    from_tx
-                        .send(FromWorker {
-                            part: p,
-                            outgoing,
-                            values: None,
-                        })
-                        .expect("driver alive");
-                }
-                // Final value dump.
-                let dump: Vec<(u64, VV)> =
-                    part.vertex_ids.iter().copied().zip(values).collect();
-                from_tx
-                    .send(FromWorker {
-                        part: p,
-                        outgoing: Vec::new(),
-                        values: Some(dump),
-                    })
-                    .expect("driver alive");
-            });
-        }
-        drop(from_tx);
-
-        // Superstep loop: route messages at the barrier.
-        let plan = env.faults().clone();
-        let stage = env.next_stage_id();
-        let interval = plan.checkpoint_interval_rounds();
-        let mut faults = RoundFaults::new(plan, stage);
-        // Driver-side half of the checkpoint: (completed rounds, routed but
-        // undelivered messages). The worker-side half is the solution set.
-        let mut checkpoint: (u32, Vec<Vec<(u64, M)>>) =
-            (0, (0..n).map(|_| Vec::new()).collect());
-        let mut pending: Vec<Vec<(u64, M)>> = (0..n).map(|_| msg_pool.take(0)).collect();
-        // Arrival slots, reused every round so worker outputs always merge
-        // in partition order (deterministic routing) without reallocating.
-        let mut arrived: Vec<Option<Vec<Vec<(u64, M)>>>> = (0..n).map(|_| None).collect();
-        let mut round = 0u32;
-        while round < max_rounds {
-            let is_delta = matches!(mode, IterationMode::Delta { .. });
-            let total_pending: usize = pending.iter().map(Vec::len).sum();
-            if is_delta && round > 0 && total_pending == 0 {
-                break; // delta convergence: nothing changed
+    let (csr, bounds) = (&graph.csr, &graph.bounds);
+    let (n, nv) = (graph.partitions(), csr.vertices());
+    let is_delta = match mode {
+        IterationMode::Bulk => false,
+        IterationMode::Delta {
+            solution_set_budget,
+        } => {
+            if let Some(budget) = solution_set_budget.filter(|&b| nv > b) {
+                return Err(IterationError::SolutionSetOom { needed: nv, budget });
             }
-            if faults.before_round(env.metrics(), round) {
-                // Injected superstep failure: rewind both halves of the
-                // checkpoint and replay from that barrier.
-                for tx in &to_workers {
-                    tx.send(ToWorker::Restore).expect("worker alive");
+            true
+        }
+    };
+    let (plan, metrics) = (env.faults(), env.metrics());
+    let (stage, seed) = (env.next_stage_id(), plan.checksum_seed());
+    let interval = plan.checkpoint_interval_rounds();
+    // An inbox holds a step's envelopes and, from peers already a step
+    // ahead, the next one's: a send never blocks.
+    let (peers, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| bounded::<Envelope>(2 * n)).unzip();
+
+    let worker = |me: usize, inbox: Receiver<Envelope>| -> Option<Vec<VV>> {
+        metrics.add_tasks_launched(1);
+        // Built first: whatever panics below, the peers hear of it.
+        let mut mesh = Mesh {
+            me,
+            peers: peers.clone(),
+            inbox,
+            arrived: [0, 1].map(|_| (0..n).map(|_| None).collect()),
+            have: [0; 2],
+        };
+        let rows = bounds[me].min(nv)..bounds[me + 1].min(nv);
+        let fresh = || WorkerState {
+            round: 0,
+            values: rows.clone().map(|v| init(csr.ids[v])).collect(),
+            inbox: MessageTable::new(bounds[me + 1] - bounds[me]),
+        };
+        let mut state = fresh();
+        // `staged` becomes `saved` once a whole step has passed without
+        // anyone reporting rot in the inboxes it captured.
+        let (mut saved, mut staged) = (None::<WorkerState<VV, M>>, None);
+        let mut out = Outbox::new(bounds[n], &combine);
+        let mut faults = RoundFaults::new(plan.clone(), stage);
+        let mut rot_retries: HashMap<u32, u32> = HashMap::new();
+        let (mut step, mut furthest, mut rotten) = (0u32, 0u32, false);
+        while state.round < max_rounds {
+            // The plan's kill budget is stateful: one worker spends it.
+            let verdict = if rotten {
+                Verdict::Rotten
+            } else if me == 0 && faults.before_round(metrics, state.round) {
+                Verdict::Failed
+            } else {
+                Verdict::Go
+            };
+            if verdict == Verdict::Go {
+                let mut run = |slot: usize, message: Option<M>| {
+                    let v = rows.start + slot;
+                    let vertex = Vertex {
+                        superstep: state.round,
+                        id: v as u32,
+                        value: &mut state.values[slot],
+                        message,
+                        targets: csr.row(v),
+                    };
+                    compute(vertex, &mut out);
+                };
+                if is_delta && state.round > 0 {
+                    state.inbox.for_each(|slot, m| run(slot, Some(m)));
+                } else {
+                    (0..rows.len()).for_each(|slot| run(slot, state.inbox.get(slot)));
                 }
-                round = checkpoint.0;
-                pending = checkpoint.1.clone();
+            }
+            let mut sealed: Vec<Sealed<MessageBatch>> = bounds
+                .windows(2)
+                .map(|w| {
+                    let batch = out.table().encode(w[0]..w[1]).unwrap_or_default();
+                    metrics.add_records_shuffled(batch.rows() as u64);
+                    metrics.add_bytes_shuffled(batch.bytes() as u64);
+                    metrics.add_batches_processed(1);
+                    seal(batch, seed, metrics)
+                })
+                .collect();
+            let shipped: usize = sealed.iter().map(|s| s.1.rows()).sum();
+            metrics.add_messages_combined((out.sent() - shipped) as u64);
+            let sent_any = out.sent() > 0;
+            out.clear();
+            // Probability rot hits a superstep's first run only, so a
+            // replay makes progress.
+            let attempt = u32::from(state.round < furthest);
+            furthest = furthest.max(state.round + 1);
+            let site = state.round as usize * n + me;
+            if let Some((kind, salt)) = plan.corrupt_decision(stage, site, attempt) {
+                corrupt_one(std::slice::from_mut(&mut sealed), kind, salt);
+            }
+            for (peer, batch) in mesh.peers.iter().zip(sealed) {
+                let envelope = Envelope {
+                    step,
+                    from: me,
+                    verdict,
+                    sent_any,
+                    batch,
+                };
+                // Only a peer that was told to abort hangs up early.
+                peer.send(envelope).ok()?;
+            }
+
+            let arrived = mesh.collect(step)?;
+            step += 1;
+            let told = |v: Verdict| arrived.iter().flatten().any(|e| e.verdict == v);
+            let (failed, rot) = (told(Verdict::Failed), told(Verdict::Rotten));
+            saved = staged.take().filter(|_| !rot).or(saved);
+            if rot {
+                let tries = rot_retries.entry(state.round).or_insert(0);
+                *tries += 1;
+                if *tries >= plan.max_attempts() {
+                    panic_any(IntegrityError {
+                        at: (stage, me, *tries),
+                        detail: "superstep batch failed checksum verification on every attempt",
+                    });
+                }
+                if me == 0 {
+                    metrics.add_task_retries(1);
+                    metrics.add_region_restarts(1);
+                    std::thread::sleep(plan.backoff(*tries));
+                }
+            }
+            if rot || failed {
+                state = saved.clone().unwrap_or_else(&fresh);
+                rotten = false;
                 continue;
             }
-            for (p, tx) in to_workers.iter().enumerate() {
-                let buf = std::mem::replace(&mut pending[p], msg_pool.take(0));
-                tx.send(ToWorker::Round(buf)).expect("worker alive");
+            state.round += 1;
+            if me == 0 {
+                metrics.add_iterations_run(1);
             }
-            for _ in 0..n {
-                let out = from_rx.recv().expect("workers alive");
-                debug_assert!(out.values.is_none());
-                arrived[out.part] = Some(out.outgoing);
+            let busy = arrived.iter().flatten().any(|e| e.sent_any);
+            if state.round == max_rounds || (is_delta && !busy) {
+                break; // what this step shipped has no reader
             }
-            for slot in &mut arrived {
-                let mut boxes = slot.take().expect("every worker reported");
-                for (dest, mut buf) in boxes.drain(..).enumerate() {
-                    pending[dest].append(&mut buf);
-                    msg_pool.put(buf);
+            state.inbox.clear();
+            for envelope in arrived.iter_mut().filter_map(Option::take) {
+                if !verify(&envelope.batch, seed) {
+                    metrics.add_corruptions_detected(1);
+                    plan.confirm_corruption();
+                    rotten = true;
+                } else if !rotten {
+                    state.inbox.absorb(&envelope.batch.1, &combine);
                 }
-                box_pool.put(boxes);
             }
-            env.metrics().add_iterations_run(1);
-            round += 1;
-            if interval > 0 && round % interval == 0 {
-                for tx in &to_workers {
-                    tx.send(ToWorker::Snapshot).expect("worker alive");
-                }
-                checkpoint = (round, pending.clone());
+            if !rotten && interval > 0 && state.round % interval == 0 {
+                metrics.add_checkpoints_taken(1);
+                // Accounted as logical (id, value) entries, like Table
+                // VII's solution-set budget.
+                let bytes = state.values.len() * std::mem::size_of::<(u64, VV)>();
+                metrics.add_checkpoint_bytes(bytes as u64);
+                staged = Some(state.clone());
             }
         }
-        for tx in &to_workers {
-            tx.send(ToWorker::Finish).expect("worker alive");
+        Some(state.values)
+    };
+
+    let worker = &worker;
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let deployed: Vec<_> = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(me, inbox)| scope.spawn(move || worker(me, inbox)))
+            .collect();
+        deployed.into_iter().map(|w| w.join()).collect()
+    });
+    let mut values = Vec::with_capacity(nv);
+    for outcome in outcomes {
+        match outcome {
+            // A worker stops early only because a peer panicked, and that
+            // panic is re-raised here.
+            Ok(part) => values.extend(part.unwrap_or_default()),
+            Err(payload) => resume_unwind(payload),
         }
-        drop(to_workers);
-        let mut result: HashMap<u64, VV> = HashMap::with_capacity(graph.vertex_count());
-        for _ in 0..n {
-            let out = from_rx.recv().expect("workers alive");
-            result.extend(out.values.expect("final dump"));
-        }
-        Ok(result)
-    })
+    }
+    Ok(csr.ids.iter().copied().zip(values).collect())
 }
 
 #[cfg(test)]
@@ -663,6 +619,13 @@ mod tests {
         (0..n - 1).map(|i| (i, i + 1)).collect()
     }
 
+    /// An undirected `n`-cycle: one component, diameter `n / 2`.
+    fn cycle(n: u64) -> Vec<(u64, u64)> {
+        (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), ((i + 1) % n, i)])
+            .collect()
+    }
+
     #[test]
     fn partitioned_graph_includes_sink_vertices() {
         let g = PartitionedGraph::from_edges(&line_graph(5), 3);
@@ -670,19 +633,73 @@ mod tests {
         assert_eq!(g.partitions(), 3);
     }
 
+    #[test]
+    fn workers_own_word_aligned_edge_balanced_ranges() {
+        // A hub holding half the edges ahead of 600 single-edge rows: an even
+        // split of the rows would give worker 0 three quarters of the edges.
+        let mut edges: Vec<(u64, u64)> = (0..600).map(|t| (0, 1 + t)).collect();
+        edges.extend((1..601).map(|s| (s, 0)));
+        let g = PartitionedGraph::from_edges(&edges, 2);
+        assert_eq!(g.bounds, vec![0, 64, 640]);
+        let more = PartitionedGraph::from_edges(&edges, 7);
+        assert!(more.bounds.iter().all(|b| b % 64 == 0));
+        assert!(more.bounds.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(more.bounds[7], 640);
+        assert_eq!(PartitionedGraph::from_edges(&[], 3).bounds, vec![0; 4]);
+    }
+
     /// Connected components by label propagation: value = component id.
-    fn cc_compute() -> Box<VertexCompute<u64, u64>> {
-        Box::new(|v, value, msgs, ns| {
-            let candidate = msgs.iter().copied().min().unwrap_or(*value).min(*value);
-            let changed = candidate < *value;
-            let out = if changed || msgs.is_empty() {
-                // First round (no messages) or improvement: notify others.
-                ns.iter().map(|&t| (t, candidate.min(v))).collect()
-            } else {
-                Vec::new()
-            };
-            (candidate, changed, out)
-        })
+    fn propagate<F: Fn(u64, u64) -> u64>(v: Vertex<'_, u64, u64>, out: &mut Outbox<'_, u64, F>) {
+        let lower = v.message.filter(|m| m < v.value);
+        if let Some(label) = lower {
+            *v.value = label;
+        }
+        // First round or improvement: notify others.
+        if lower.is_some() || v.superstep == 0 {
+            v.targets.iter().for_each(|&t| out.to(t, *v.value));
+        }
+    }
+
+    fn components(
+        env: &FlinkEnv,
+        graph: &PartitionedGraph,
+        max_rounds: u32,
+        mode: IterationMode,
+    ) -> Result<HashMap<u64, u64>, IterationError> {
+        vertex_centric(env, graph, |v| v, propagate, u64::min, max_rounds, mode)
+    }
+
+    const DELTA: IterationMode = IterationMode::Delta {
+        solution_set_budget: None,
+    };
+
+    /// A Page Rank-shaped program: an `f64` sum combiner, every vertex
+    /// active every superstep, values that depend on the fold order.
+    fn ranks(env: &FlinkEnv, graph: &PartitionedGraph, rounds: u32) -> HashMap<u64, f64> {
+        vertex_centric(
+            env,
+            graph,
+            |_| 1.0,
+            |v, out| {
+                if v.superstep > 0 {
+                    *v.value = 0.15 + 0.85 * v.message.unwrap_or(0.0);
+                }
+                let share = *v.value / v.targets.len() as f64;
+                v.targets.iter().for_each(|&t| out.to(t, share));
+            },
+            |a: f64, b| a + b,
+            rounds,
+            IterationMode::Bulk,
+        )
+        .unwrap()
+    }
+
+    fn random_edges(seed: u64, n: usize, ids: u64) -> Vec<(u64, u64)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| (rng.gen_range(0..ids), rng.gen_range(0..ids)))
+            .collect()
     }
 
     #[test]
@@ -691,15 +708,7 @@ mod tests {
         // Component A: 0-1-2, component B: 10-11.
         let edges = vec![(0, 1), (1, 0), (1, 2), (2, 1), (10, 11), (11, 10)];
         let g = PartitionedGraph::from_edges(&edges, 3);
-        let values = vertex_centric(
-            &env,
-            &g,
-            |v, _| v,
-            &*cc_compute(),
-            20,
-            IterationMode::Bulk,
-        )
-        .unwrap();
+        let values = components(&env, &g, 20, IterationMode::Bulk).unwrap();
         assert_eq!(values[&0], 0);
         assert_eq!(values[&1], 0);
         assert_eq!(values[&2], 0);
@@ -710,31 +719,16 @@ mod tests {
     #[test]
     fn vertex_centric_delta_matches_bulk() {
         let env = FlinkEnv::new(4);
-        // An undirected 8-cycle plus an isolated pair.
-        let mut edges: Vec<(u64, u64)> = (0..8).flat_map(|i| {
-            let j = (i + 1) % 8;
-            [(i, j), (j, i)]
-        })
-        .collect();
-        edges.push((100, 101));
-        edges.push((101, 100));
+        // An undirected 300-cycle (every worker owns a stretch of it) plus
+        // an isolated pair.
+        let mut edges = cycle(300);
+        edges.extend([(1_000, 1_001), (1_001, 1_000)]);
         let g = PartitionedGraph::from_edges(&edges, 4);
-        let bulk = vertex_centric(&env, &g, |v, _| v, &*cc_compute(), 30, IterationMode::Bulk)
-            .unwrap();
-        let delta = vertex_centric(
-            &env,
-            &g,
-            |v, _| v,
-            &*cc_compute(),
-            30,
-            IterationMode::Delta {
-                solution_set_budget: None,
-            },
-        )
-        .unwrap();
+        let bulk = components(&env, &g, 200, IterationMode::Bulk).unwrap();
+        let delta = components(&env, &g, 200, DELTA).unwrap();
         assert_eq!(bulk, delta);
-        assert!(bulk.iter().filter(|(v, _)| **v < 100).all(|(_, c)| *c == 0));
-        assert_eq!(bulk[&100], 100);
+        assert!(bulk.iter().all(|(v, c)| *v >= 1_000 || *c == 0));
+        assert_eq!(bulk[&1_000], 1_000);
     }
 
     #[test]
@@ -743,17 +737,7 @@ mod tests {
         let edges = vec![(0, 1), (1, 0)];
         let g = PartitionedGraph::from_edges(&edges, 2);
         let before = env.metrics().iterations_run();
-        let _ = vertex_centric(
-            &env,
-            &g,
-            |v, _| v,
-            &*cc_compute(),
-            1000,
-            IterationMode::Delta {
-                solution_set_budget: None,
-            },
-        )
-        .unwrap();
+        let _ = components(&env, &g, 1000, DELTA).unwrap();
         let rounds = env.metrics().iterations_run() - before;
         assert!(rounds < 10, "delta ran {rounds} rounds on a 2-cycle");
     }
@@ -763,11 +747,9 @@ mod tests {
         let env = FlinkEnv::new(2);
         let edges: Vec<(u64, u64)> = (0..100).map(|i| (i, (i + 1) % 100)).collect();
         let g = PartitionedGraph::from_edges(&edges, 2);
-        let err = vertex_centric(
+        let err = components(
             &env,
             &g,
-            |v, _| v,
-            &*cc_compute(),
             10,
             IterationMode::Delta {
                 solution_set_budget: Some(50),
@@ -814,12 +796,11 @@ mod tests {
     #[test]
     fn vertex_centric_restores_solution_set_from_snapshot() {
         use crate::faults::FaultConfig;
-        let edges: Vec<(u64, u64)> = (0..40).flat_map(|i| {
-            let j = (i + 1) % 40;
-            [(i, j), (j, i)]
-        })
-        .collect();
-        let g = PartitionedGraph::from_edges(&edges, 4);
+        // Snapshots land after rounds 2, 4, …; the kill hits round 3, between
+        // two of them. The delta workset *is* the inbox: a replay that
+        // restored only the values would find nobody active and stop with
+        // half-propagated labels.
+        let g = PartitionedGraph::from_edges(&cycle(300), 4);
         let plan = FaultPlan::new(FaultConfig {
             seed: 9,
             kill_list: vec![(0, 3, 0)],
@@ -828,23 +809,150 @@ mod tests {
             ..FaultConfig::default()
         });
         let env = FlinkEnv::with_faults(4, plan);
-        let faulted =
-            vertex_centric(&env, &g, |v, _| v, &*cc_compute(), 60, IterationMode::Bulk).unwrap();
-        let clean = vertex_centric(
-            &FlinkEnv::new(4),
-            &g,
-            |v, _| v,
-            &*cc_compute(),
-            60,
-            IterationMode::Bulk,
-        )
-        .unwrap();
+        let faulted = components(&env, &g, 400, DELTA).unwrap();
+        let clean_env = FlinkEnv::new(4);
+        let clean = components(&clean_env, &g, 400, DELTA).unwrap();
         assert_eq!(faulted, clean);
-        assert!(faulted.values().all(|c| *c == 0), "one 40-cycle, one component");
+        assert!(faulted.values().all(|c| *c == 0), "one component");
         let rec = env.metrics().recovery();
         assert_eq!(rec.injected_failures, 1);
         assert_eq!(rec.region_restarts, 1);
         assert!(rec.checkpoints_taken >= 4, "4 workers × ≥1 snapshot each");
+        // Round 2 ran twice; round 3's killed attempt does not count.
+        assert_eq!(
+            env.metrics().iterations_run(),
+            clean_env.metrics().iterations_run() + 1
+        );
+    }
+
+    #[test]
+    fn a_rotten_superstep_batch_rewinds_every_worker_to_the_snapshot() {
+        use crate::faults::FaultConfig;
+        let g = PartitionedGraph::from_edges(&random_edges(5, 3_000, 400), 3);
+        let armed = || {
+            FlinkEnv::with_faults(
+                3,
+                FaultPlan::new(FaultConfig {
+                    seed: 17,
+                    corrupt_first_n: 1,
+                    checkpoint_interval_rounds: 2,
+                    backoff_base: std::time::Duration::from_micros(100),
+                    ..FaultConfig::default()
+                }),
+            )
+        };
+        // Bulk Page Rank: the replay folds the same sums in the same order.
+        let env = armed();
+        assert_eq!(ranks(&env, &g, 8), ranks(&FlinkEnv::new(3), &g, 8));
+        // Delta CC.
+        let env_cc = armed();
+        assert_eq!(
+            components(&env_cc, &g, 200, DELTA),
+            components(&FlinkEnv::new(3), &g, 200, DELTA)
+        );
+        // Probability rot is a pure function of the plan's seed: pick one
+        // whose first rotten batch leaves in round 3. One worker finds it
+        // while the others stage their round-4 snapshot, which must never be
+        // restored — the finder has no round-4 state to go with it.
+        let dice = |seed| FaultConfig {
+            seed,
+            corruption_prob: 0.03,
+            checkpoint_interval_rounds: 2,
+            backoff_base: std::time::Duration::from_micros(100),
+            ..FaultConfig::default()
+        };
+        let first_rot = |seed| {
+            let plan = FaultPlan::new(dice(seed));
+            (0..8 * 3).find(|&site| plan.corrupt_decision(0, site, 0).is_some())
+        };
+        let seed = (0..)
+            .find(|&seed| first_rot(seed).is_some_and(|site| site / 3 == 3))
+            .expect("some seed rots round 3 first");
+        let env_late = FlinkEnv::with_faults(3, FaultPlan::new(dice(seed)));
+        assert_eq!(ranks(&env_late, &g, 8), ranks(&FlinkEnv::new(3), &g, 8));
+        assert!(env_late.metrics().recovery().checkpoints_taken >= 3 + 2);
+        for m in [&env, &env_cc, &env_late] {
+            let rec = m.metrics().recovery();
+            assert!(rec.corruptions_detected >= 1, "rot went unnoticed");
+            assert!(rec.region_restarts >= 1);
+            assert!(rec.batches_checksummed > 0);
+        }
+        assert_eq!(env.metrics().recovery().region_restarts, 1);
+    }
+
+    #[test]
+    fn corruption_outliving_the_retry_budget_is_a_typed_failure() {
+        use crate::faults::FaultConfig;
+        let g = PartitionedGraph::from_edges(&random_edges(5, 3_000, 400), 3);
+        let env = FlinkEnv::with_faults(
+            3,
+            FaultPlan::new(FaultConfig {
+                seed: 17,
+                corrupt_first_n: u64::MAX,
+                max_attempts: 3,
+                backoff_base: std::time::Duration::from_micros(100),
+                ..FaultConfig::default()
+            }),
+        );
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ranks(&env, &g, 8)))
+            .expect_err("every replay ships another rotten batch");
+        assert!(payload.downcast_ref::<IntegrityError>().is_some());
+        assert_eq!(env.metrics().recovery().region_restarts, 2);
+    }
+
+    #[test]
+    fn a_batch_one_step_early_waits_for_its_round() {
+        let (tx, inbox) = bounded(4);
+        let mut mesh = Mesh {
+            me: 0,
+            peers: vec![tx.clone(), tx],
+            inbox,
+            arrived: [vec![None, None], vec![None, None]],
+            have: [0; 2],
+        };
+        let envelope = |step, from| Envelope {
+            step,
+            from,
+            verdict: Verdict::Go,
+            sent_any: true,
+            batch: (0, MessageBatch::default()),
+        };
+        // Worker 1 is a step ahead of worker 0's own step-0 envelope.
+        for (step, from) in [(0, 1), (1, 1), (0, 0), (1, 0)] {
+            mesh.peers[from].send(envelope(step, from)).unwrap();
+        }
+        for step in [0, 1] {
+            let arrived = mesh.collect(step).expect("nobody aborted");
+            let got: Vec<_> = arrived.iter().flatten().map(|e| (e.step, e.from)).collect();
+            assert_eq!(got, vec![(step, 0), (step, 1)], "sender order, one step");
+        }
+    }
+
+    #[test]
+    fn a_panicking_vertex_program_fails_the_iteration_instead_of_hanging_it() {
+        crate::faults::install_quiet_hook();
+        let g = PartitionedGraph::from_edges(&cycle(300), 4);
+        let env = FlinkEnv::new(4);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            vertex_centric(
+                &env,
+                &g,
+                |v| v,
+                |v, _out| {
+                    if v.id == 200 && v.superstep == 2 {
+                        panic_any(IntegrityError {
+                            at: (0, 0, 0),
+                            detail: "raised by the vertex program",
+                        });
+                    }
+                },
+                u64::min,
+                10,
+                IterationMode::Bulk,
+            )
+        }))
+        .expect_err("the program's panic reaches the caller");
+        assert!(payload.downcast_ref::<IntegrityError>().is_some());
     }
 
     #[test]
@@ -853,8 +961,7 @@ mod tests {
         let edges: Vec<(u64, u64)> = (0..50).map(|i| (i, (i + 1) % 50)).collect();
         let g = PartitionedGraph::from_edges(&edges, 4);
         let before = env.metrics().tasks_launched();
-        let _ = vertex_centric(&env, &g, |v, _| v, &*cc_compute(), 15, IterationMode::Bulk)
-            .unwrap();
+        let _ = components(&env, &g, 15, IterationMode::Bulk).unwrap();
         assert_eq!(env.metrics().tasks_launched() - before, 4);
     }
 }

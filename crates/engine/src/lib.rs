@@ -44,8 +44,7 @@ pub use cache::StorageLevel;
 pub use faults::{CancelToken, FaultConfig, FaultPlan, JobCancelled};
 pub use flink::{DataSet, FlinkEnv};
 pub use iterate::{
-    bulk_iterate, vertex_centric, vertex_centric_with_combiner, CsrPart, IterationError,
-    IterationMode, MessageCombiner, PartitionedGraph,
+    bulk_iterate, vertex_centric, IterationError, IterationMode, PartitionedGraph, Vertex,
 };
 pub use flowmark_core::config::{EngineConfig, ExecutorMode, PartitionerChoice};
 pub use metrics::{EngineMetrics, MetricsSnapshot, RecoverySnapshot};

@@ -5,12 +5,13 @@
 //! one in is an array write, not a hash probe: a [`MessageTable`] keeps one
 //! 64-bit lane per slot plus a presence bitmap, and `fold` merges a message
 //! into its slot with the program's combiner (`+` for Page Rank, `min` for
-//! CC/SSSP). The same table is the map-side combiner (an [`Outbox`] with one
-//! slot per destination vertex of the whole graph), the reduce-side merge
-//! (one slot per vertex of the partition) and what the driver reads back.
+//! CC/SSSP). The same table is the sender-side combiner (an [`Outbox`] with
+//! one slot per destination vertex of the whole graph), the receive-side
+//! merge (one slot per vertex of the range) and, on the pipelined engine, an
+//! iteration worker's inbox, whose presence bitmap is the delta workset.
 //!
 //! A table range leaves its task as a [`MessageBatch`] — plain `u64` lanes,
-//! sealed and verified like every other shuffle unit. The encoding follows
+//! sealed and verified like every other exchange unit. The encoding follows
 //! the fill count: a well-filled range ships dense (`slots` value lanes then
 //! `slots / 64` presence words), a thin frontier ships sparse
 //! (`slot, value` pairs). Both decode from the lane count alone, because a
@@ -97,6 +98,16 @@ impl<M: Lane> MessageTable<M> {
         (self.present[slot / 64] >> (slot % 64) & 1 == 1).then(|| M::from_bits(self.lanes[slot]))
     }
 
+    /// Calls `f(slot, message)` for every message held, slots ascending.
+    pub fn for_each(&self, mut f: impl FnMut(usize, M)) {
+        for_each_set_bit(&self.present, |s| f(s, M::from_bits(self.lanes[s])));
+    }
+
+    /// Empties the table for reuse; only the presence words are rewritten.
+    pub fn clear(&mut self) {
+        self.present.fill(0);
+    }
+
     /// Messages held.
     pub fn count(&self) -> usize {
         popcount(&self.present)
@@ -163,9 +174,10 @@ impl<M: Lane> MessageTable<M> {
     }
 }
 
-/// A map task's combining outbox: every message sent is folded into the
+/// A sender's combining outbox: every message sent is folded into the
 /// destination's slot right away, so what the task ships is already
-/// combined and `eliminated` is what sender-side combining saved.
+/// combined. A staged map task builds one per wave; a pipelined iteration
+/// worker keeps one and clears it between supersteps.
 pub struct Outbox<'a, M, F> {
     table: MessageTable<M>,
     merge: &'a F,
@@ -189,10 +201,21 @@ impl<'a, M: Lane, F: Fn(M, M) -> M> Outbox<'a, M, F> {
         self.table.fold(dst as usize, m, self.merge);
     }
 
-    /// The combined messages and how many sends combining eliminated.
-    pub fn finish(self) -> (MessageTable<M>, usize) {
-        let eliminated = self.sent - self.table.count();
-        (self.table, eliminated)
+    /// Sends since the outbox was created or last cleared; what exceeds the
+    /// table's count is what combining eliminated.
+    pub fn sent(&self) -> usize {
+        self.sent
+    }
+
+    /// The combined messages so far.
+    pub fn table(&self) -> &MessageTable<M> {
+        &self.table
+    }
+
+    /// Empties the outbox for the next superstep, keeping its table.
+    pub fn clear(&mut self) {
+        self.sent = 0;
+        self.table.clear();
     }
 }
 
@@ -210,10 +233,11 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// The messages one task sends to one destination partition: the unit the
-/// staged exchange seals, moves and verifies. Accounts as `messages` rows,
-/// so `records_shuffled` keeps counting combined messages, not lanes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The messages one task sends to one destination partition: the unit both
+/// engines' exchanges seal, move and verify. Accounts as `messages` rows,
+/// so `records_shuffled` keeps counting combined messages, not lanes. The
+/// default batch carries none.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageBatch {
     lanes: Vec<u64>,
     messages: usize,
@@ -263,6 +287,30 @@ mod tests {
             sums.fold(1, x, &|a, b| a + b);
         }
         assert_eq!(sums.get(1), Some(0.875));
+    }
+
+    #[test]
+    fn a_cleared_table_and_outbox_start_the_next_superstep_empty() {
+        let mut t = table(128, &[(3, 9), (64, 1), (127, 0)]);
+        let mut seen = Vec::new();
+        t.for_each(|slot, m| seen.push((slot, m)));
+        assert_eq!(seen, vec![(3, 9), (64, 1), (127, 0)], "slots ascending");
+        t.clear();
+        assert_eq!((t.count(), t.get(3)), (0, None));
+        t.fold(3, 5, &u64::min);
+        assert_eq!(t.get(3), Some(5), "a stale lane is not merged into");
+
+        let mut out = Outbox::new(64, &u64::min);
+        out.to(7, 4);
+        out.to(7, 2);
+        assert_eq!((out.sent(), out.table().get(7)), (2, Some(2)));
+        out.clear();
+        assert_eq!((out.sent(), out.table().count()), (0, 0));
+        assert_eq!(
+            out.table().encode(0..64).unwrap_or_default().rows(),
+            0,
+            "an empty range ships as the default batch"
+        );
     }
 
     #[test]

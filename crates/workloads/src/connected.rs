@@ -11,9 +11,10 @@ use std::collections::HashMap;
 use flowmark_core::config::Framework;
 use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::plan::{IterationKind, LogicalPlan};
+use flowmark_engine::csr::DenseCsr;
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::graphx::Graph;
-use flowmark_engine::iterate::{vertex_centric_with_combiner, IterationMode, PartitionedGraph};
+use flowmark_engine::iterate::{vertex_centric, IterationMode, PartitionedGraph};
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::IterationError;
 
@@ -62,25 +63,9 @@ pub fn operator_table(fw: Framework) -> Vec<OperatorKind> {
     }
 }
 
-/// The label-propagation vertex program shared by both engines: adopt the
-/// smallest component id seen, notify neighbours on change.
-fn propagate(
-    _v: u64,
-    value: &u64,
-    msgs: &[u64],
-    ns: &[u64],
-) -> (u64, bool, Vec<(u64, u64)>) {
-    let candidate = msgs.iter().copied().min().map_or(*value, |m| m.min(*value));
-    let changed = candidate < *value;
-    let out = if changed || msgs.is_empty() {
-        ns.iter().map(|&t| (t, candidate)).collect()
-    } else {
-        Vec::new()
-    };
-    (candidate, changed, out)
-}
-
-/// Runs Connected Components on the pipelined engine.
+/// Runs Connected Components on the pipelined engine: label propagation
+/// over the undirected adjacency — adopt the smallest component id seen,
+/// notify neighbours on change.
 ///
 /// `budget` caps the solution-set entries (None = unbounded); the cap is
 /// the Table VII failure mechanism.
@@ -92,25 +77,28 @@ pub fn run_flink(
     variant: CcVariant,
     budget: Option<usize>,
 ) -> Result<HashMap<u64, u64>, IterationError> {
-    // CC needs the undirected closure.
-    let sym: Vec<(u64, u64)> = edges
-        .iter()
-        .flat_map(|&(s, t)| [(s, t), (t, s)])
-        .collect();
-    let graph = PartitionedGraph::from_edges(&sym, partitions);
+    let graph = PartitionedGraph::new(DenseCsr::from_edges(edges).undirected(), partitions);
     let mode = match variant {
         CcVariant::Bulk => IterationMode::Bulk,
         CcVariant::Delta => IterationMode::Delta {
             solution_set_budget: budget,
         },
     };
-    // Component labels fold with `min`: combine before the channel.
-    vertex_centric_with_combiner(
+    vertex_centric(
         env,
         &graph,
-        |v, _| v,
-        &propagate,
-        Some(u64::min),
+        |v| v,
+        |v, out| {
+            let lower = v.message.filter(|m| m < v.value);
+            if let Some(label) = lower {
+                *v.value = label;
+            }
+            if lower.is_some() || v.superstep == 0 {
+                v.targets.iter().for_each(|&t| out.to(t, *v.value));
+            }
+        },
+        // Component labels fold with `min`: combine before the channel.
+        u64::min,
         max_rounds,
         mode,
     )

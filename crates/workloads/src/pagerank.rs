@@ -15,7 +15,7 @@ use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::plan::{CostAnnotation, ExchangeMode, IterationKind, LogicalPlan};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::graphx::Graph;
-use flowmark_engine::iterate::{vertex_centric_with_combiner, IterationMode, PartitionedGraph};
+use flowmark_engine::iterate::{vertex_centric, IterationMode, PartitionedGraph};
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::IterationError;
 
@@ -198,35 +198,25 @@ pub fn run_flink(
     let graph = PartitionedGraph::from_edges(edges, partitions);
     let n = graph.vertex_count() as f64;
     let base = (1.0 - DAMPING) / n;
-    // Vertex value carries (rank, supersteps done): superstep 0 only
-    // scatters the initial ranks; each later superstep recomputes the rank
-    // from the gathered shares — zero shares still re-rank to `base`, like
-    // the oracle's dangling-in-degree vertices.
-    let values = vertex_centric_with_combiner(
+    vertex_centric(
         env,
         &graph,
-        |_, _| (1.0 / n, 0u32),
-        &move |_v, value: &(f64, u32), msgs: &[f64], ns: &[u64]| {
-            let (rank, round) = *value;
-            let new_rank = if round == 0 {
-                rank
-            } else {
-                base + DAMPING * msgs.iter().sum::<f64>()
-            };
-            let out = if ns.is_empty() {
-                Vec::new()
-            } else {
-                let share = new_rank / ns.len() as f64;
-                ns.iter().map(|&t| (t, share)).collect()
-            };
-            ((new_rank, round + 1), true, out)
+        |_| 1.0 / n,
+        // Superstep 0 only scatters the initial ranks; each later one
+        // re-ranks from the gathered shares first — no share still re-ranks
+        // to `base`, like the oracle's vertices without in-edges.
+        move |v, out| {
+            if v.superstep > 0 {
+                *v.value = base + DAMPING * v.message.unwrap_or(0.0);
+            }
+            let share = *v.value / v.targets.len() as f64;
+            v.targets.iter().for_each(|&t| out.to(t, share));
         },
         // Rank shares fold with `+`: combine before the channel.
-        Some(|a: f64, b: f64| a + b),
+        |a: f64, b| a + b,
         iterations + 1, // superstep 0 is the initial scatter
         IterationMode::Bulk,
-    )?;
-    Ok(values.into_iter().map(|(v, (r, _))| (v, r)).collect())
+    )
 }
 
 /// Runs Page Rank on the staged engine, GraphX-style: the graph is loaded

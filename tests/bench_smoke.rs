@@ -35,10 +35,10 @@ fn smoke_bench_verifies_every_cell() {
         assert!(c.records > 0);
         assert!(c.records_per_sec > 0.0);
         // Grep is shuffle-free (narrow filter + count), and the pipelined
-        // engine's iterative cells exchange vertex messages rather than
-        // shuffle records; every other cell must cross the exchange.
-        let iterative_flink = c.engine == "flink"
-            && matches!(c.workload.as_str(), "kmeans" | "pagerank" | "connected");
+        // engine's K-Means feeds partial sums back through its iteration
+        // barrier rather than an exchange; every other cell must cross one
+        // — the pipelined graph cells over their worker mesh.
+        let iterative_flink = c.engine == "flink" && c.workload == "kmeans";
         let streaming = c.workload.starts_with("nexmark");
         if c.workload != "grep" && !iterative_flink && !streaming {
             assert!(
@@ -164,20 +164,23 @@ fn migrated_cells_take_the_vectorized_paths() {
                     c.engine
                 );
             }
-            // The staged graph cells left the record path: every superstep
-            // ships sealed message batches through the batch exchange.
-            "pagerank" | "connected" if c.engine == "spark" => {
+            // The graph cells left the record path on both engines: every
+            // superstep ships sealed message batches, through the batch
+            // exchange (staged) or the worker mesh (pipelined).
+            "pagerank" | "connected" => {
                 assert!(
                     c.batches_processed > 0 && c.batches_checksummed > 0,
-                    "{}/spark fell back to the record shuffle",
-                    c.workload
+                    "{}/{} fell back to the record path",
+                    c.workload,
+                    c.engine
                 );
             }
             _ => {}
         }
-        if matches!(c.workload.as_str(), "kmeans" | "terasort")
-            || c.workload.starts_with("nexmark")
-            || (c.engine == "spark" && matches!(c.workload.as_str(), "pagerank" | "connected"))
+        if matches!(
+            c.workload.as_str(),
+            "kmeans" | "terasort" | "pagerank" | "connected"
+        ) || c.workload.starts_with("nexmark")
         {
             assert_eq!(
                 c.path, "batch",
@@ -332,6 +335,36 @@ fn staged_graph_counters_repeat_exactly() {
     assert!(first.0 .0 > 0 && first.0 .2 > 0);
     // Same fold order, so even the float sums are bit-identical.
     assert_eq!(first.1, second.1);
+    assert_eq!(first.2, second.2);
+}
+
+/// The pipelined graph path repeats as exactly: workers own fixed ranges,
+/// fold their outboxes in row order and absorb arrivals in sender order,
+/// never arrival order.
+#[test]
+fn pipelined_graph_counters_repeat_exactly() {
+    use flowmark_datagen::graph::{RmatGen, RmatParams};
+    use flowmark_workloads::connected::{self, CcVariant};
+    use flowmark_workloads::pagerank;
+
+    let edges = RmatGen::new(9, RmatParams::default(), 9).edges(4_000);
+    let run = || {
+        let env = FlinkEnv::new(3);
+        let ranks = pagerank::run_flink(&env, &edges, 5, 3).unwrap();
+        let labels = connected::run_flink(&env, &edges, 200, 3, CcVariant::Delta, None).unwrap();
+        let m = env.metrics();
+        let counters = (
+            m.records_shuffled(),
+            m.bytes_shuffled(),
+            m.messages_combined(),
+            m.iterations_run(),
+        );
+        (counters, ranks, labels)
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first.0, second.0, "counters differ between fresh envs");
+    assert!(first.0 .0 > 0 && first.0 .2 > 0);
+    assert_eq!(first.1, second.1, "float sums must be bit-identical");
     assert_eq!(first.2, second.2);
 }
 

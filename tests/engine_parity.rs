@@ -114,6 +114,75 @@ fn connected_components_parity_all_variants() {
     }
 }
 
+/// Without a driver barrier a fast worker's superstep `r + 1` batch can
+/// overtake a slow worker's superstep `r` batch on the way to a third.
+/// One vertex that sleeps makes its worker the slow one; supersteps must
+/// still never mix — exact labels, ranks within 1e-9 of the oracle.
+#[test]
+fn a_slow_worker_never_mixes_supersteps() {
+    use flowmark_engine::csr::DenseCsr;
+    use flowmark_engine::iterate::{vertex_centric, IterationMode, PartitionedGraph};
+    use flowmark_workloads::pagerank::DAMPING;
+
+    let edges = RmatGen::new(10, RmatParams::default(), 23).edges(6_000);
+    let (ranks, labels) = (pagerank::oracle(&edges, 8), connected::oracle(&edges));
+    let nap = |id: u32| {
+        if id == 300 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    for partitions in [3, 7] {
+        let env = FlinkEnv::new(partitions);
+        let graph = PartitionedGraph::from_edges(&edges, partitions);
+        let n = graph.vertex_count() as f64;
+        let got = vertex_centric(
+            &env,
+            &graph,
+            |_| 1.0 / n,
+            |v, out| {
+                nap(v.id);
+                if v.superstep > 0 {
+                    *v.value = (1.0 - DAMPING) / n + DAMPING * v.message.unwrap_or(0.0);
+                }
+                let share = *v.value / v.targets.len() as f64;
+                v.targets.iter().for_each(|&t| out.to(t, share));
+            },
+            |a: f64, b| a + b,
+            9,
+            IterationMode::Bulk,
+        )
+        .unwrap();
+        assert_eq!(got.len(), ranks.len());
+        for (v, r) in &ranks {
+            assert!((got[v] - r).abs() < 1e-9, "{partitions} workers: rank({v})");
+        }
+
+        let graph = PartitionedGraph::new(DenseCsr::from_edges(&edges).undirected(), partitions);
+        let got = vertex_centric(
+            &env,
+            &graph,
+            |v| v,
+            |v, out| {
+                nap(v.id);
+                let lower = v.message.filter(|m| m < v.value);
+                if let Some(label) = lower {
+                    *v.value = label;
+                }
+                if lower.is_some() || v.superstep == 0 {
+                    v.targets.iter().for_each(|&t| out.to(t, *v.value));
+                }
+            },
+            u64::min,
+            300,
+            IterationMode::Delta {
+                solution_set_budget: None,
+            },
+        )
+        .unwrap();
+        assert_eq!(got, labels, "{partitions} workers");
+    }
+}
+
 #[test]
 fn architectural_signatures_hold_while_answers_agree() {
     // The engines agree on results but differ in the architectural

@@ -617,9 +617,29 @@ fn awkward_graph() -> impl Strategy<Value = Vec<(u64, u64)>> {
     })
 }
 
-/// Partition counts the staged graph layer is exercised at, 7 being more
-/// than some of the graphs have vertices.
+/// Partition counts the graph layers are exercised at, 7 being more than
+/// some of the graphs have vertices.
 const GRAPH_PARTITIONS: [usize; 4] = [1, 2, 3, 7];
+
+/// The graph with no edges has no vertices: every implementation returns
+/// nothing, at any partition count, instead of dividing by its size.
+#[test]
+fn graph_workloads_accept_the_empty_edge_list() {
+    use flowmark_workloads::connected::{self, CcVariant};
+    use flowmark_workloads::pagerank;
+    for partitions in GRAPH_PARTITIONS {
+        let sc = SparkContext::new(partitions, 16 << 20);
+        assert!(pagerank::run_spark(&sc, &[], 3, partitions).is_empty());
+        assert!(connected::run_spark(&sc, &[], 200, partitions).is_empty());
+        let env = FlinkEnv::new(partitions);
+        let ranks = pagerank::run_flink(&env, &[], 3, partitions);
+        assert!(ranks.unwrap().is_empty());
+        for variant in [CcVariant::Bulk, CcVariant::Delta] {
+            let labels = connected::run_flink(&env, &[], 200, partitions, variant, None);
+            assert!(labels.unwrap().is_empty());
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
