@@ -38,7 +38,7 @@ use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::memory::BufferPool;
 use crate::metrics::EngineMetrics;
 use crate::runtime::{self, FragmentHandle};
-use crate::shuffle::{seal, verify, Sealed, ShuffleBatch};
+use crate::shuffle::{seal, verify, Materialised, Partition, Sealed, ShuffleBatch};
 use crate::sortbuf::{CombineFn, SortCombineBuffer};
 use flowmark_sched::{FragmentCache, FragmentKey};
 
@@ -204,44 +204,50 @@ impl FlinkEnv {
         self.inner.trace.lock().record(name.to_string(), t0, t1);
     }
 
-    /// Creates a DataSet from a local collection.
+    /// Creates a DataSet from a local collection. The vector is neither
+    /// copied nor re-chunked: each task is handed a range of it.
     pub fn from_collection<T: Clone + Send + Sync + 'static>(&self, data: Vec<T>) -> DataSet<T> {
-        let parallelism = self.parallelism();
-        let chunk = data.len().div_ceil(parallelism).max(1);
-        let parts: Vec<Vec<T>> = data
-            .chunks(chunk)
-            .map(<[T]>::to_vec)
-            .chain(std::iter::repeat_with(Vec::new))
-            .take(parallelism)
-            .collect();
-        self.metrics()
-            .add_records_read(parts.iter().map(Vec::len).sum::<usize>() as u64);
+        let partitions = self.parallelism();
+        self.metrics().add_records_read(data.len() as u64);
+        let op = SourceOp {
+            data: Arc::new(data),
+            partitions,
+        };
         DataSet {
             env: self.clone(),
-            op: Arc::new(SourceOp { parts }),
-            partitions: parallelism,
+            op: Arc::new(op),
+            partitions,
         }
     }
 }
 
+/// How a partition of this DataSet is derived — the staged engine's
+/// `RddOp` contract: the partition comes back shared, a source hands out
+/// a range of the vector it holds (it must stay re-readable: every job
+/// and every region restart reads it again), read-only operators borrow
+/// through it, and only an operator that needs ownership of a still-shared
+/// partition pays for a copy ([`Partition::into_vec`]). Nothing else is
+/// kept: a materialised exchange hands each partition out by move, and a
+/// second ask for it re-runs the exchange.
 trait DsOp<T>: Send + Sync {
-    fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<T>;
+    fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<T>;
 }
 
 struct SourceOp<T> {
-    parts: Vec<Vec<T>>,
+    data: Arc<Vec<T>>,
+    partitions: usize,
 }
 
-impl<T: Clone + Send + Sync> DsOp<T> for SourceOp<T> {
-    fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<T> {
+impl<T: Send + Sync> DsOp<T> for SourceOp<T> {
+    fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<T> {
         env.metrics().add_compute_calls(1);
-        self.parts[part].clone()
+        Partition::chunk_of(&self.data, part, self.partitions)
     }
 }
 
 struct ChainOp<T, U, F>
 where
-    F: Fn(Vec<T>) -> Vec<U> + Send + Sync,
+    F: Fn(Partition<T>) -> Vec<U> + Send + Sync,
 {
     parent: Arc<dyn DsOp<T>>,
     f: F,
@@ -251,11 +257,11 @@ impl<T, U, F> DsOp<U> for ChainOp<T, U, F>
 where
     T: Send + Sync,
     U: Send + Sync,
-    F: Fn(Vec<T>) -> Vec<U> + Send + Sync,
+    F: Fn(Partition<T>) -> Vec<U> + Send + Sync,
 {
-    fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<U> {
+    fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<U> {
         env.metrics().add_compute_calls(1);
-        (self.f)(self.parent.compute(env, part))
+        (self.f)(self.parent.compute(env, part)).into()
     }
 }
 
@@ -292,7 +298,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             env: self.env.clone(),
             op: Arc::new(ChainOp {
                 parent: Arc::clone(&self.op),
-                f: move |input: Vec<T>| input.iter().map(&f).collect(),
+                f: move |input: Partition<T>| input.iter().map(&f).collect(),
             }),
             partitions: self.partitions,
         }
@@ -309,7 +315,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             env: self.env.clone(),
             op: Arc::new(ChainOp {
                 parent: Arc::clone(&self.op),
-                f: move |input: Vec<T>| input.iter().flat_map(&f).collect(),
+                f: move |input: Partition<T>| input.iter().flat_map(&f).collect(),
             }),
             partitions: self.partitions,
         }
@@ -324,7 +330,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             env: self.env.clone(),
             op: Arc::new(ChainOp {
                 parent: Arc::clone(&self.op),
-                f: move |input: Vec<T>| input.into_iter().filter(|t| f(t)).collect(),
+                f: move |input: Partition<T>| input.into_retained(&f),
             }),
             partitions: self.partitions,
         }
@@ -339,7 +345,8 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             env: self.env.clone(),
             op: Arc::new(ChainOp {
                 parent: Arc::clone(&self.op),
-                f: move |mut input: Vec<T>| {
+                f: move |input: Partition<T>| {
+                    let mut input = input.into_vec();
                     input.sort_by(&cmp);
                     input
                 },
@@ -381,7 +388,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
                 op.compute(env, p)
             };
             env.task_finished();
-            out
+            out.into_vec()
         })
     }
 
@@ -427,7 +434,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             in_parts,
             out_parts,
             move |env: &FlinkEnv, out: &mut Outbox<T>, part| {
-                let records = parent.compute(env, part);
+                let records = parent.compute(env, part).into_vec();
                 env.metrics().add_records_shuffled(records.len() as u64);
                 env.metrics()
                     .add_bytes_shuffled((records.len() * record_bytes) as u64);
@@ -474,7 +481,7 @@ where
             in_parts,
             out_parts,
             move |env: &FlinkEnv, out: &mut Outbox<Sealed<B>>, part| {
-                let batches = parent.compute(env, part);
+                let batches = parent.compute(env, part).into_vec();
                 let mut sealed: Vec<(usize, Sealed<B>)> = Vec::with_capacity(batches.len());
                 for (idx, batch) in batches {
                     assert!(
@@ -515,11 +522,11 @@ where
                 handle,
                 seed,
                 out_parts,
-                resolved: std::sync::OnceLock::new(),
+                resolved: Materialised::new(),
             }),
             None => Arc::new(ChainOp {
                 parent: sealed_op,
-                f: |input: Vec<Sealed<B>>| input.into_iter().map(|(_, b)| b).collect(),
+                f: |input: Partition<Sealed<B>>| unseal(input.into_vec()),
             }),
         };
         DataSet {
@@ -530,43 +537,41 @@ where
     }
 }
 
+/// Drops the digests of batches that were verified at receive.
+fn unseal<B>(sealed: Vec<Sealed<B>>) -> Vec<B> {
+    sealed.into_iter().map(|(_, b)| b).collect()
+}
+
 /// Gate in front of a sealed batch exchange, wired to the cross-job
 /// fragment cache. Resolves once per job: a checksum-verified cache hit
 /// skips the exchange (and all of its producer/consumer threads)
-/// entirely; a miss runs it, stores the sealed output for future jobs,
-/// and serves the unwrapped batches.
+/// entirely; a miss runs it, stores a copy of the sealed output for
+/// future jobs, and serves the unwrapped batches — the job's own, by move.
 struct FragmentGateOp<B> {
     inner: Arc<dyn DsOp<Sealed<B>>>,
     handle: FragmentHandle,
     seed: u64,
     out_parts: usize,
-    resolved: std::sync::OnceLock<Vec<Vec<B>>>,
+    resolved: Materialised<B>,
 }
 
 impl<B> DsOp<B> for FragmentGateOp<B>
 where
     B: ShuffleBatch + Checksummable + Clone + Send + Sync + 'static,
 {
-    fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<B> {
-        let all = self.resolved.get_or_init(|| {
+    fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<B> {
+        self.resolved.take(part, || {
             let started = Instant::now();
             if let Some(cached) = runtime::fragment_lookup::<B>(&self.handle, env.metrics()) {
                 env.record_span("pipelined-exchange(cached)", started);
-                return cached
-                    .into_iter()
-                    .map(|p| p.into_iter().map(|(_, b)| b).collect())
-                    .collect();
+                return cached.into_iter().map(unseal).collect();
             }
             let sealed: Vec<Vec<Sealed<B>>> = (0..self.out_parts)
-                .map(|p| self.inner.compute(env, p))
+                .map(|p| self.inner.compute(env, p).into_vec())
                 .collect();
             runtime::fragment_store(&self.handle, env.metrics(), self.seed, &sealed);
-            sealed
-                .into_iter()
-                .map(|p| p.into_iter().map(|(_, b)| b).collect())
-                .collect()
-        });
-        all[part].clone()
+            sealed.into_iter().map(unseal).collect()
+        })
     }
 }
 
@@ -595,7 +600,7 @@ where
             in_parts,
             out_parts,
             move |env: &FlinkEnv, out: &mut Outbox<(K, V)>, part| {
-                let records = parent.compute(env, part);
+                let records = parent.compute(env, part).into_vec();
                 let channels = out.channels();
                 let partitioner = HashPartitioner::new(channels);
                 if !combine_enabled {
@@ -650,9 +655,9 @@ where
         let reduce_combine = combine;
         let reduced = ChainOp {
             parent: Arc::new(exchange) as Arc<dyn DsOp<(K, V)>>,
-            f: move |input: Vec<(K, V)>| {
+            f: move |input: Partition<(K, V)>| {
                 let mut agg: FxHashMap<K, V> = fx_map_with_capacity(input.len());
-                for (k, v) in input {
+                for (k, v) in input.into_vec() {
                     match agg.entry(k) {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
                             reduce_combine(e.get_mut(), v)
@@ -678,11 +683,14 @@ where
 // ---- additional DataSet operators -----------------------------------------
 
 impl<T: Clone + Send + Sync + 'static> DataSet<T> {
-    /// Whole-partition map (`mapPartition`).
+    /// Whole-partition map (`mapPartition`). `f` reads the partition
+    /// through the `Deref` to `[T]`, or takes the elements with
+    /// [`Partition::into_vec`] — free downstream of an operator or an
+    /// exchange, a copy directly on a source.
     pub fn map_partition<U, F>(&self, f: F) -> DataSet<U>
     where
         U: Clone + Send + Sync + 'static,
-        F: Fn(Vec<T>) -> Vec<U> + Send + Sync + 'static,
+        F: Fn(Partition<T>) -> Vec<U> + Send + Sync + 'static,
     {
         DataSet {
             env: self.env.clone(),
@@ -706,7 +714,7 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
             split: usize,
         }
         impl<T: Send + Sync> DsOp<T> for UnionOp<T> {
-            fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<T> {
+            fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<T> {
                 if part < self.split {
                     self.left.compute(env, part)
                 } else {
@@ -1087,8 +1095,8 @@ where
     /// capture it). `false` fails the region with a typed
     /// [`IntegrityError`].
     verify: Option<Arc<dyn Fn(&T) -> bool + Send + Sync>>,
-    /// Materialised output, built on first access (one deployment).
-    output: std::sync::OnceLock<Vec<Vec<T>>>,
+    /// What the last deployment delivered and no consumer has taken yet.
+    output: Materialised<T>,
 }
 
 impl<T, P> PipelinedExchange<T, P>
@@ -1102,7 +1110,7 @@ where
             out_parts,
             produce,
             verify: None,
-            output: std::sync::OnceLock::new(),
+            output: Materialised::new(),
         }
     }
 
@@ -1117,7 +1125,7 @@ where
             out_parts,
             produce,
             verify: Some(verify),
-            output: std::sync::OnceLock::new(),
+            output: Materialised::new(),
         }
     }
 
@@ -1334,12 +1342,11 @@ where
 
 impl<T, P> DsOp<T> for PipelinedExchange<T, P>
 where
-    T: Clone + Send + Sync,
+    T: Send + Sync,
     P: Fn(&FlinkEnv, &mut Outbox<T>, usize) + Send + Sync,
 {
-    fn compute(&self, env: &FlinkEnv, part: usize) -> Vec<T> {
-        let all = self.output.get_or_init(|| self.run(env));
-        all[part].clone()
+    fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<T> {
+        self.output.take(part, || self.run(env))
     }
 }
 
@@ -1354,6 +1361,45 @@ mod tests {
         let mut out = ds.collect();
         out.sort_unstable();
         assert_eq!(out, (0..100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn sources_and_read_only_consumers_clone_no_element() {
+        crate::shuffle::testing::clone_counted!(CLONES);
+        let clones = || CLONES.load(Ordering::Relaxed);
+        let env = FlinkEnv::new(4);
+        let ds = env.from_collection((0..100).map(Counted).collect());
+        let sums = ds
+            .map_partition(|part| vec![part.iter().map(|c| c.0).sum::<u32>()])
+            .collect_partitions();
+        assert_eq!(sums.iter().flatten().sum::<u32>(), 4950);
+        assert_eq!(clones(), 0, "split, serve and borrow without a copy");
+
+        // A shuffled collect: producers build the batches they route, the
+        // channels move them, the deployment's output leaves by move and
+        // the operator downstream of the exchange owns what it is handed.
+        let shuffled = ds
+            .map_partition(|part| {
+                let to = (part[0].0 as usize / 25 + 1) % 4;
+                vec![(to, CountedBatch(part.iter().map(|c| Counted(c.0)).collect()))]
+            })
+            .exchange_by_index(4)
+            .map_partition(|batches| batches.into_vec());
+        let rows = |bs: &[CountedBatch]| bs.iter().map(|b| b.0.len()).sum::<usize>();
+        assert_eq!(rows(&shuffled.collect()), 100);
+        assert_eq!(clones(), 0, "an exchange partition left by copy");
+        // No persistence: a second job deploys the exchange again, still
+        // without copying an element.
+        let shuffles = env.metrics().records_shuffled();
+        assert_eq!(rows(&shuffled.collect()), 100);
+        assert_eq!(env.metrics().records_shuffled(), 2 * shuffles);
+        assert_eq!(clones(), 0);
+
+        // Ownership of a partition the source still holds is the one copy.
+        assert_eq!(ds.op.compute(&env, 1).into_vec().len(), 25);
+        assert_eq!(clones(), 25);
+        assert_eq!(ds.collect().len(), 100);
+        assert_eq!(clones(), 125);
     }
 
     #[test]

@@ -313,7 +313,14 @@ impl std::error::Error for PoolExhausted {}
 /// `BufferPool` is the managed-memory answer (same spirit as
 /// [`ManagedPool`], but for real allocations): spent run storage is
 /// returned, cleared, and handed to the next drain instead of going back
-/// to the allocator. Bounded so a burst cannot pin memory forever.
+/// to the allocator. Retention is bounded twice — in idle buffers and in
+/// idle *bytes* — so a burst cannot pin memory forever, whatever the
+/// buffer sizes.
+///
+/// A request is served **best-fit**: the smallest idle buffer whose
+/// capacity covers it, else a fresh allocation — never a regrown smaller
+/// one, which would cost the allocation the pool exists to avoid while a
+/// fitting buffer sat idle.
 ///
 /// A pool built with [`BufferPool::with_limit`] additionally caps how many
 /// buffers may be *outstanding* (taken, not yet returned) at once;
@@ -321,28 +328,58 @@ impl std::error::Error for PoolExhausted {}
 /// allocating past the cap.
 #[derive(Debug)]
 pub struct BufferPool<T> {
-    buffers: Mutex<Vec<Vec<T>>>,
+    idle: Mutex<Idle<T>>,
     max_pooled: usize,
+    max_idle_bytes: usize,
     max_outstanding: usize,
     outstanding: AtomicUsize,
     reuses: AtomicU64,
     allocations: AtomicU64,
 }
 
+/// The idle side of a [`BufferPool`].
+#[derive(Debug)]
+struct Idle<T> {
+    /// Ascending by capacity, so best-fit is one binary search.
+    buffers: Vec<Vec<T>>,
+    /// Sum of the idle buffers' capacities, in bytes.
+    bytes: usize,
+}
+
+fn capacity_bytes<T>(buf: &Vec<T>) -> usize {
+    buf.capacity().saturating_mul(std::mem::size_of::<T>())
+}
+
 impl<T> BufferPool<T> {
     /// Creates a pool retaining at most `max_pooled` idle buffers, with no
     /// bound on outstanding buffers.
-    pub fn new(max_pooled: usize) -> Self {
-        Self::with_limit(max_pooled, usize::MAX)
+    pub const fn new(max_pooled: usize) -> Self {
+        Self::bounded(max_pooled, usize::MAX, usize::MAX)
     }
 
     /// Creates a pool that retains at most `max_pooled` idle buffers and
     /// allows at most `max_outstanding` checked-out buffers at once.
     pub fn with_limit(max_pooled: usize, max_outstanding: usize) -> Self {
         assert!(max_outstanding > 0, "need at least one outstanding buffer");
+        Self::bounded(max_pooled, usize::MAX, max_outstanding)
+    }
+
+    /// Creates a pool that retains idle buffers up to `max_idle_bytes` of
+    /// capacity in total, however many buffers that is — the shape for a
+    /// long-lived pool of job-sized buffers, where a count says nothing
+    /// about the memory held.
+    pub const fn with_idle_bytes(max_idle_bytes: usize) -> Self {
+        Self::bounded(usize::MAX, max_idle_bytes, usize::MAX)
+    }
+
+    const fn bounded(max_pooled: usize, max_idle_bytes: usize, max_outstanding: usize) -> Self {
         Self {
-            buffers: Mutex::new(Vec::new()),
+            idle: Mutex::new(Idle {
+                buffers: Vec::new(),
+                bytes: 0,
+            }),
             max_pooled,
+            max_idle_bytes,
             max_outstanding,
             outstanding: AtomicUsize::new(0),
             reuses: AtomicU64::new(0),
@@ -382,20 +419,32 @@ impl<T> BufferPool<T> {
     }
 
     fn take_inner(&self, capacity: usize) -> Vec<T> {
-        if let Some(mut buf) = self.buffers.lock().pop() {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            if buf.capacity() < capacity {
-                buf.reserve(capacity - buf.len());
+        let fit = {
+            let mut idle = self.idle.lock();
+            let at = idle.buffers.partition_point(|b| b.capacity() < capacity);
+            (at < idle.buffers.len()).then(|| {
+                let buf = idle.buffers.remove(at);
+                idle.bytes -= capacity_bytes(&buf);
+                buf
+            })
+        };
+        match fit {
+            Some(buf) => {
+                self.reuses.fetch_add(1, Ordering::Relaxed);
+                buf
             }
-            return buf;
+            None => {
+                self.allocations.fetch_add(1, Ordering::Relaxed);
+                Vec::with_capacity(capacity)
+            }
         }
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        Vec::with_capacity(capacity)
     }
 
-    /// Returns a spent buffer to the pool (cleared, allocation retained);
-    /// dropped instead when the pool is full. Releases one outstanding
-    /// slot either way.
+    /// Returns a spent buffer to the pool (cleared, allocation retained).
+    /// When keeping it would break a retention bound, smaller idle buffers
+    /// make room — they serve the fewest requests — and if none is smaller
+    /// the newcomer is dropped instead. Releases one outstanding slot
+    /// either way.
     pub fn put(&self, mut buf: Vec<T>) {
         let _ = self
             .outstanding
@@ -403,13 +452,32 @@ impl<T> BufferPool<T> {
                 Some(v.saturating_sub(1))
             });
         buf.clear();
+        let bytes = capacity_bytes(&buf);
         if buf.capacity() == 0 {
             return; // nothing worth keeping
         }
-        let mut pool = self.buffers.lock();
-        if pool.len() < self.max_pooled {
-            pool.push(buf);
+        let mut idle = self.idle.lock();
+        // Only buffers smaller than the newcomer may make room for it.
+        let smaller = idle
+            .buffers
+            .partition_point(|b| b.capacity() < buf.capacity());
+        let over = |kept: usize, kept_bytes: usize| {
+            kept >= self.max_pooled || kept_bytes + bytes > self.max_idle_bytes
+        };
+        let (mut evict, mut freed) = (0, 0);
+        while evict < smaller && over(idle.buffers.len() - evict, idle.bytes - freed) {
+            freed += capacity_bytes(&idle.buffers[evict]);
+            evict += 1;
         }
+        if over(idle.buffers.len() - evict, idle.bytes - freed) {
+            return;
+        }
+        let evicted: Vec<Vec<T>> = idle.buffers.drain(..evict).collect();
+        idle.bytes = idle.bytes - freed + bytes;
+        idle.buffers.insert(smaller - evict, buf);
+        // Unmapping job-sized allocations is no work to do under the lock.
+        drop(idle);
+        drop(evicted);
     }
 
     /// Buffers currently checked out (taken and not yet returned).
@@ -419,7 +487,12 @@ impl<T> BufferPool<T> {
 
     /// Idle buffers currently pooled.
     pub fn pooled(&self) -> usize {
-        self.buffers.lock().len()
+        self.idle.lock().buffers.len()
+    }
+
+    /// Bytes of capacity the idle buffers hold.
+    pub fn idle_bytes(&self) -> usize {
+        self.idle.lock().bytes
     }
 
     /// Times `take` was served from the pool.
@@ -557,6 +630,53 @@ mod tests {
         pool.put(Vec::with_capacity(4));
         let b = pool.take(1024);
         assert!(b.capacity() >= 1024);
+    }
+
+    #[test]
+    fn buffer_pool_serves_best_fit_from_mixed_sizes() {
+        let pool: BufferPool<u8> = BufferPool::new(8);
+        let sized: Vec<Vec<u8>> = [4096, 16, 256].map(Vec::with_capacity).into();
+        let ptr_256 = sized[2].as_ptr();
+        let ptr_4096 = sized[0].as_ptr();
+        sized.into_iter().for_each(|b| pool.put(b));
+        // The smallest buffer that covers the request, wherever it sits.
+        let b = pool.take(100);
+        assert_eq!((b.as_ptr(), b.capacity()), (ptr_256, 256));
+        // Nothing idle covers 300 but the 4096: served without regrowing
+        // the 16 that is also idle.
+        let c = pool.take(300);
+        assert_eq!(c.as_ptr(), ptr_4096);
+        assert_eq!((pool.reuses(), pool.allocations()), (2, 0));
+        // Nothing fits: a fresh allocation, and the small one stays pooled.
+        let d = pool.take(64);
+        assert!(d.capacity() >= 64);
+        assert_eq!(
+            (pool.reuses(), pool.allocations(), pool.pooled()),
+            (2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn buffer_pool_bounds_idle_bytes_and_keeps_the_large_buffers() {
+        let pool: BufferPool<u64> = BufferPool::with_idle_bytes(1024);
+        pool.put(Vec::with_capacity(32)); // 256 B
+        pool.put(Vec::with_capacity(64)); // 512 B
+        assert_eq!((pool.pooled(), pool.idle_bytes()), (2, 768));
+        // 768 + 512 breaks the bound: the smallest idle buffer makes room.
+        pool.put(Vec::with_capacity(64));
+        assert_eq!((pool.pooled(), pool.idle_bytes()), (2, 1024));
+        // Nothing idle is smaller than the newcomer: it is the one dropped.
+        pool.put(Vec::with_capacity(40));
+        assert_eq!((pool.pooled(), pool.idle_bytes()), (2, 1024));
+        // A buffer over the whole bound is never kept and evicts nothing.
+        pool.put(Vec::with_capacity(1000));
+        assert_eq!((pool.pooled(), pool.idle_bytes()), (2, 1024));
+        let _held = pool.take(64);
+        assert_eq!(
+            pool.idle_bytes(),
+            512,
+            "a taken buffer stops counting as idle"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! shared by both: partitioning map output, optional map-side combining via
 //! [`crate::sortbuf::SortCombineBuffer`], and the blocking exchange used by
 //! the staged engine. The pipelined exchange (bounded channels as network
-//! buffers) lives in `flink::exec`.
+//! buffers) lives in `flink::exec`. Both engines hand partitions around as
+//! [`Partition`]s and keep an exchange's undelivered output in a
+//! `Materialised`.
 
 use std::hash::Hash;
 use std::sync::Arc;
@@ -151,6 +153,138 @@ pub fn take_partition<T: Clone>(partition: Arc<Vec<T>>) -> Vec<T> {
     Arc::try_unwrap(partition).unwrap_or_else(|shared| (*shared).clone())
 }
 
+/// One computed partition on either engine: a range of a shared vector.
+///
+/// Whoever already holds the data hands it out without copying — a source
+/// serves each task a range of the caller's own vector, an operator wraps
+/// the vector it just built — and consumers that only read borrow through
+/// the `Deref` to `[T]`. A consumer that needs the elements calls
+/// [`Partition::into_vec`] and pays for a copy only when the storage is
+/// still shared (a source that must stay re-readable, a cached block) or
+/// the partition is a sub-range.
+pub struct Partition<T> {
+    data: Arc<Vec<T>>,
+    start: usize,
+    end: usize,
+}
+
+impl<T> Partition<T> {
+    /// The `chunk`-th of `chunks` near-equal contiguous ranges of `data`
+    /// (trailing ranges are empty when there are more chunks than rows) —
+    /// how both engines' sources split a collection.
+    pub fn chunk_of(data: &Arc<Vec<T>>, chunk: usize, chunks: usize) -> Self {
+        let size = data.len().div_ceil(chunks).max(1);
+        Self {
+            data: Arc::clone(data),
+            start: (chunk * size).min(data.len()),
+            end: ((chunk + 1) * size).min(data.len()),
+        }
+    }
+
+    /// The elements, owned: the storage itself when this partition is its
+    /// only holder and covers all of it, a copy of the range otherwise.
+    pub fn into_vec(self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        if self.start == 0 && self.end == self.data.len() {
+            take_partition(self.data)
+        } else {
+            self[..].to_vec()
+        }
+    }
+
+    /// The elements `keep` accepts, owned: filtered in place when the
+    /// storage can be taken, otherwise only the survivors are copied.
+    pub fn into_retained(self, mut keep: impl FnMut(&T) -> bool) -> Vec<T>
+    where
+        T: Clone,
+    {
+        if self.start == 0 && self.end == self.data.len() && Arc::strong_count(&self.data) == 1 {
+            let mut data = take_partition(self.data);
+            data.retain(keep);
+            data
+        } else {
+            self.iter().filter(|t| keep(t)).cloned().collect()
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Partition<T> {
+    fn from(data: Vec<T>) -> Self {
+        let end = data.len();
+        Self {
+            data: Arc::new(data),
+            start: 0,
+            end,
+        }
+    }
+}
+
+impl<T> Clone for Partition<T> {
+    fn clone(&self) -> Self {
+        Self {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Partition<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.data[self.start..self.end]
+    }
+}
+
+/// What an exchange delivered and its consumers have not taken yet: one
+/// slot per output partition, filled by running the exchange when a
+/// partition is asked for that is not there — the first ask, or an ask for
+/// a partition its last consumer already took (lineage on the staged
+/// engine, a fresh deployment on the pipelined one).
+pub(crate) struct Materialised<T>(parking_lot::Mutex<Vec<Option<Partition<T>>>>);
+
+impl<T> Materialised<T> {
+    pub(crate) fn new() -> Self {
+        Self(parking_lot::Mutex::new(Vec::new()))
+    }
+
+    /// Serves partition `part` and keeps it for the next ask. The lock is
+    /// held across `run`: the other tasks of the stage wait here for the
+    /// one that runs the exchange.
+    pub(crate) fn serve(&self, part: usize, run: impl FnOnce() -> Vec<Vec<T>>) -> Partition<T> {
+        Self::filled(&mut self.0.lock(), part, run).clone()
+    }
+
+    /// Hands partition `part` to its last consumer: the storage is theirs.
+    pub(crate) fn take(&self, part: usize, run: impl FnOnce() -> Vec<Vec<T>>) -> Partition<T> {
+        let mut slots = self.0.lock();
+        Self::filled(&mut slots, part, run);
+        slots[part].take().expect("just filled")
+    }
+
+    /// Lets go of a partition already served: whoever holds it owns it.
+    pub(crate) fn release(&self, part: usize) {
+        if let Some(slot) = self.0.lock().get_mut(part) {
+            *slot = None;
+        }
+    }
+
+    fn filled(
+        slots: &mut Vec<Option<Partition<T>>>,
+        part: usize,
+        run: impl FnOnce() -> Vec<Vec<T>>,
+    ) -> &Partition<T> {
+        if slots.get(part).is_none_or(Option::is_none) {
+            *slots = run().into_iter().map(|p| Some(p.into())).collect();
+        }
+        slots[part]
+            .as_ref()
+            .expect("the exchange delivers every partition")
+    }
+}
+
 /// Partitions one map task's records into per-reducer buckets, each
 /// pre-sized to the expected fan-out (`count / n + 1`).
 pub fn partition_records<K, V, P>(
@@ -259,6 +393,50 @@ pub fn exchange<E>(map_outputs: Vec<Vec<Vec<E>>>) -> Vec<Vec<E>> {
         }
     }
     reduce_inputs
+}
+
+/// Test support shared by both engines' zero-copy tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    /// A `u32` that counts its clones into `$counter`, and a shuffle batch
+    /// of them: what the zero-copy tests push through sources and
+    /// exchanges.
+    macro_rules! clone_counted {
+        ($counter:ident) => {
+            static $counter: std::sync::atomic::AtomicUsize =
+                std::sync::atomic::AtomicUsize::new(0);
+            struct Counted(u32);
+            impl Clone for Counted {
+                fn clone(&self) -> Self {
+                    $counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    Counted(self.0)
+                }
+            }
+            #[derive(Clone)]
+            struct CountedBatch(Vec<Counted>);
+            impl $crate::shuffle::ShuffleBatch for CountedBatch {
+                fn rows(&self) -> usize {
+                    self.0.len()
+                }
+                fn bytes(&self) -> usize {
+                    4 * self.0.len()
+                }
+            }
+            impl flowmark_columnar::Checksummable for CountedBatch {
+                fn write_checksum(&self, h: &mut flowmark_columnar::Xxh64) {
+                    self.0.iter().for_each(|c| h.write_u64(u64::from(c.0)));
+                }
+                fn corrupt(
+                    &mut self,
+                    _: flowmark_columnar::CorruptionKind,
+                    _: u64,
+                ) -> Option<flowmark_columnar::CorruptionKind> {
+                    None
+                }
+            }
+        };
+    }
+    pub(crate) use clone_counted;
 }
 
 #[cfg(test)]

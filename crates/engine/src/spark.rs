@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -38,8 +38,8 @@ use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::metrics::EngineMetrics;
 use crate::runtime::{self, FragmentHandle};
 use crate::shuffle::{
-    corrupt_one, exchange, partition_combine, partition_records, seal, take_partition, verify,
-    Sealed, ShuffleBatch,
+    corrupt_one, exchange, partition_combine, partition_records, seal, verify, Materialised,
+    Partition, Sealed, ShuffleBatch,
 };
 use crate::sortbuf::CombineFn;
 
@@ -185,7 +185,9 @@ impl SparkContext {
         self.inner.trace.lock().record(name.to_string(), t0, t1);
     }
 
-    /// Distributes a local collection into `partitions` chunks.
+    /// Distributes a local collection into `partitions` chunks. The
+    /// vector is neither copied nor re-chunked: each task is handed a
+    /// range of it.
     pub fn parallelize<T: Clone + Send + Sync + 'static>(
         &self,
         data: Vec<T>,
@@ -193,32 +195,36 @@ impl SparkContext {
     ) -> Rdd<T> {
         assert!(partitions > 0);
         self.metrics().add_records_read(data.len() as u64);
-        // Split by move: the source never deep-copies the driver's input.
-        let chunk = data.len().div_ceil(partitions).max(1);
-        let mut rest = data.into_iter();
-        let parts = (0..partitions)
-            .map(|_| Arc::new(rest.by_ref().take(chunk).collect()))
-            .collect();
-        Rdd::new(self.clone(), partitions, Arc::new(SourceOp { parts }))
+        let op = SourceOp {
+            data: Arc::new(data),
+            partitions,
+        };
+        Rdd::new(self.clone(), partitions, Arc::new(op))
     }
 }
 
 /// How a partition of this RDD is derived. The partition comes back
 /// shared: ops that already hold it (sources, materialised shuffles) hand
-/// out their `Arc`, read-only consumers borrow through it, and only a
-/// consumer that needs ownership of a shared partition pays for a copy
-/// ([`take_partition`]).
+/// out what they hold, read-only consumers borrow through it, and only a
+/// consumer that needs ownership of a still-shared partition pays for a
+/// copy ([`Partition::into_vec`]).
 trait RddOp<T>: Send + Sync {
-    fn compute(&self, part: usize) -> Arc<Vec<T>>;
+    fn compute(&self, part: usize) -> Partition<T>;
+
+    /// The last consumer of `part` has it: an op that kept the partition
+    /// only to serve it again lets go, so the consumer owns the storage.
+    /// Asking for a released partition again recomputes it from lineage.
+    fn release(&self, _part: usize) {}
 }
 
 struct SourceOp<T> {
-    parts: Vec<Arc<Vec<T>>>,
+    data: Arc<Vec<T>>,
+    partitions: usize,
 }
 
 impl<T: Send + Sync> RddOp<T> for SourceOp<T> {
-    fn compute(&self, part: usize) -> Arc<Vec<T>> {
-        Arc::clone(&self.parts[part])
+    fn compute(&self, part: usize) -> Partition<T> {
+        Partition::chunk_of(&self.data, part, self.partitions)
     }
 }
 
@@ -269,11 +275,12 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
 
     /// Computes one partition: serve from cache when persisted, otherwise
     /// recompute from lineage (and cache the result when persisted).
-    pub fn compute(&self, part: usize) -> Arc<Vec<T>> {
+    pub fn compute(&self, part: usize) -> Partition<T> {
         if self.storage != StorageLevel::None {
             if let Some(block) = self.ctx.inner.cache.get((self.id, part)) {
                 self.ctx.metrics().add_cache_hits(1);
-                return block.downcast::<Vec<T>>().expect("cache type confusion");
+                let block = block.downcast::<Partition<T>>();
+                return Partition::clone(&block.expect("cache type confusion"));
             }
             self.ctx.metrics().add_cache_misses(1);
         }
@@ -283,7 +290,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
             self.ctx.inner.cache.put(
                 (self.id, part),
-                data.clone(),
+                Arc::new(data.clone()),
                 bytes.max(1),
                 self.storage,
             );
@@ -291,8 +298,28 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         data
     }
 
-    fn compute_all(&self) -> Vec<Arc<Vec<T>>> {
+    fn compute_all(&self) -> Vec<Partition<T>> {
         self.run_tasks(|_, part| part)
+    }
+
+    /// [`Rdd::run_tasks`] for an action that consumes the elements: each
+    /// task takes its partition as the last consumer — the op that
+    /// produced it lets go first ([`RddOp::release`]; a persisted block
+    /// stays in the cache), so a materialised exchange's output leaves by
+    /// move — and hands it to `then`. The release happens once, after the
+    /// recoverable compute has settled, never inside a retried or
+    /// speculated attempt.
+    fn run_tasks_owned<U, F>(&self, then: F) -> Vec<U>
+    where
+        U: Send,
+        F: Fn(usize, Vec<T>) -> U + Sync,
+    {
+        self.run_tasks(|p, part| {
+            if self.storage == StorageLevel::None {
+                self.op.release(p);
+            }
+            then(p, part.into_vec())
+        })
     }
 
     /// Stage = this RDD: one task per partition computes it and hands it to
@@ -303,7 +330,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     fn run_tasks<U, F>(&self, then: F) -> Vec<U>
     where
         U: Send,
-        F: Fn(usize, Arc<Vec<T>>) -> U + Sync,
+        F: Fn(usize, Partition<T>) -> U + Sync,
     {
         let metrics = self.ctx.metrics();
         metrics.add_tasks_launched(self.partitions as u64);
@@ -344,7 +371,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             self.partitions,
             Arc::new(NarrowOp {
                 parent,
-                f: move |input: Arc<Vec<T>>| input.iter().map(&f).collect(),
+                f: move |input: Partition<T>| input.iter().map(&f).collect(),
             }),
         )
     }
@@ -362,7 +389,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             self.partitions,
             Arc::new(NarrowOp {
                 parent,
-                f: move |input: Arc<Vec<T>>| input.iter().flat_map(&f).collect(),
+                f: move |input: Partition<T>| input.iter().flat_map(&f).collect(),
             }),
         )
     }
@@ -378,13 +405,9 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             self.partitions,
             Arc::new(NarrowOp {
                 parent,
-                // Retain in place: a uniquely-held partition is filtered
-                // with zero copies; only cached parents pay for a clone.
-                f: move |input: Arc<Vec<T>>| {
-                    let mut data = take_partition(input);
-                    data.retain(|t| f(t));
-                    data
-                },
+                // A uniquely-held partition is filtered in place; a shared
+                // one (source, cached parent) copies only the survivors.
+                f: move |input: Partition<T>| input.into_retained(&f),
             }),
         )
     }
@@ -401,7 +424,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
             self.partitions,
             Arc::new(NarrowOp {
                 parent,
-                f: move |input: Arc<Vec<T>>| f(&input),
+                f: move |input: Partition<T>| f(&input),
             }),
         )
     }
@@ -411,14 +434,24 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     /// Gathers every record to the driver.
     pub fn collect(&self) -> Vec<T> {
         let started = Instant::now();
-        let parts = self.compute_all();
-        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let parts = self.run_tasks_owned(|_, part| part);
+        let total: usize = parts.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
-        for p in parts {
-            out.append(&mut take_partition(p));
+        for mut p in parts {
+            out.append(&mut p);
         }
         self.ctx.record_span("collect", started);
         out
+    }
+
+    /// Gathers every record to the driver, keeping partition boundaries —
+    /// for outputs whose partition order carries meaning (TeraSort). Each
+    /// partition arrives as the vector its task produced, not a copy.
+    pub fn collect_partitions(&self) -> Vec<Vec<T>> {
+        let started = Instant::now();
+        let parts = self.run_tasks_owned(|_, part| part);
+        self.ctx.record_span("collect", started);
+        parts
     }
 
     /// Counts records.
@@ -440,9 +473,9 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     {
         let started = Instant::now();
         let out = self
-            .compute_all()
+            .run_tasks_owned(|_, part| part.into_iter().reduce(&f))
             .into_iter()
-            .filter_map(|p| take_partition(p).into_iter().reduce(&f))
+            .flatten()
             .reduce(&f);
         self.ctx.record_span("reduce", started);
         out
@@ -451,7 +484,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
 
 struct NarrowOp<T, U, F>
 where
-    F: Fn(Arc<Vec<T>>) -> Vec<U> + Send + Sync,
+    F: Fn(Partition<T>) -> Vec<U> + Send + Sync,
 {
     parent: Rdd<T>,
     f: F,
@@ -461,10 +494,10 @@ impl<T, U, F> RddOp<U> for NarrowOp<T, U, F>
 where
     T: Clone + Send + Sync + 'static,
     U: Send + Sync,
-    F: Fn(Arc<Vec<T>>) -> Vec<U> + Send + Sync,
+    F: Fn(Partition<T>) -> Vec<U> + Send + Sync,
 {
-    fn compute(&self, part: usize) -> Arc<Vec<U>> {
-        Arc::new((self.f)(self.parent.compute(part)))
+    fn compute(&self, part: usize) -> Partition<U> {
+        (self.f)(self.parent.compute(part)).into()
     }
 }
 
@@ -513,7 +546,7 @@ where
             };
             let map_outputs: Vec<_> =
                 runtime::run_stage_items(config.executor, ctx.metrics(), parts, |_, p| {
-                    let records = take_partition(p);
+                    let records = p.into_vec();
                     let mut out = if config.combine_enabled {
                         partition_combine(
                             records,
@@ -577,7 +610,7 @@ where
             let map_outputs: Vec<_> =
                 runtime::run_stage_items(mode, ctx.metrics(), parent.compute_all(), |_, p| {
                     partition_records(
-                        take_partition(p),
+                        p.into_vec(),
                         partitioner.as_ref(),
                         ctx.metrics(),
                         std::mem::size_of::<(K, V)>(),
@@ -611,7 +644,7 @@ where
             let lo: Vec<_> =
                 runtime::run_stage_items(mode, ctx.metrics(), left.compute_all(), |_, p| {
                     partition_records(
-                        take_partition(p),
+                        p.into_vec(),
                         &partitioner,
                         ctx.metrics(),
                         std::mem::size_of::<(K, V)>(),
@@ -620,7 +653,7 @@ where
             let ro: Vec<_> =
                 runtime::run_stage_items(mode, ctx.metrics(), right.compute_all(), |_, p| {
                     partition_records(
-                        take_partition(p),
+                        p.into_vec(),
                         &partitioner,
                         ctx.metrics(),
                         std::mem::size_of::<(K, W)>(),
@@ -655,11 +688,11 @@ where
     /// `map->collectAsMap` waves).
     pub fn collect_as_map(&self) -> HashMap<K, V> {
         let started = Instant::now();
-        let parts = self.compute_all();
-        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let parts = self.run_tasks_owned(|_, part| part);
+        let total: usize = parts.iter().map(Vec::len).sum();
         let mut out = HashMap::with_capacity(total);
         for p in parts {
-            out.extend(take_partition(p));
+            out.extend(p);
         }
         self.ctx.record_span("collectAsMap", started);
         out
@@ -732,7 +765,7 @@ where
                 let map_outputs: Vec<Vec<Vec<Sealed<B>>>> = parent.run_tasks(|mp, p| {
                     let mut out: Vec<Vec<Sealed<B>>> =
                         (0..partitions).map(|_| Vec::new()).collect();
-                    for (idx, batch) in take_partition(p) {
+                    for (idx, batch) in p.into_vec() {
                         assert!(idx < partitions, "batch routed to partition {idx} of {partitions}");
                         ctx.metrics().add_records_shuffled(batch.rows() as u64);
                         ctx.metrics().add_bytes_shuffled(batch.bytes() as u64);
@@ -961,7 +994,7 @@ struct UnionOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for UnionOp<T> {
-    fn compute(&self, part: usize) -> Arc<Vec<T>> {
+    fn compute(&self, part: usize) -> Partition<T> {
         if part < self.split {
             self.left.compute(part)
         } else {
@@ -977,14 +1010,14 @@ struct SampleOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for SampleOp<T> {
-    fn compute(&self, part: usize) -> Arc<Vec<T>> {
+    fn compute(&self, part: usize) -> Partition<T> {
         // Deterministic per-record coin flips from a splitmix stream.
         let data = self.parent.compute(part);
         let mut x = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(part as u64);
-        let sampled = data
+        let sampled: Vec<T> = data
             .iter()
             .filter(|_| {
                 x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -996,7 +1029,7 @@ impl<T: Clone + Send + Sync + 'static> RddOp<T> for SampleOp<T> {
             })
             .cloned()
             .collect();
-        Arc::new(sampled)
+        sampled.into()
     }
 }
 
@@ -1006,16 +1039,16 @@ struct CoalesceOp<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> RddOp<T> for CoalesceOp<T> {
-    fn compute(&self, part: usize) -> Arc<Vec<T>> {
+    fn compute(&self, part: usize) -> Partition<T> {
         let parents = self.parent.num_partitions();
         let mut out = Vec::new();
         // Partition `part` owns the parent partitions ≡ part (mod n).
         let mut p = part;
         while p < parents {
-            out.append(&mut take_partition(self.parent.compute(p)));
+            out.append(&mut self.parent.compute(p).into_vec());
             p += self.n;
         }
-        Arc::new(out)
+        out.into()
     }
 }
 
@@ -1033,19 +1066,21 @@ where
     U: Send + Sync,
     F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
 {
-    fn compute(&self, part: usize) -> Arc<Vec<U>> {
-        Arc::new((self.f)(part, &self.parent.compute(part)))
+    fn compute(&self, part: usize) -> Partition<U> {
+        (self.f)(part, &self.parent.compute(part)).into()
     }
 }
 
-/// A shuffle dependency: materialised exactly once, then served per
-/// partition — Spark's shuffle files outliving the stage that wrote them.
-/// Element-generic: `T` is a `(K, V)` pair on the record path or a whole
-/// column batch on the batch-granularity path.
+/// A shuffle dependency: materialised once, then served per partition —
+/// Spark's shuffle files outliving the stage that wrote them — until the
+/// partition's last consumer takes it ([`RddOp::release`]). A partition
+/// asked for after that re-runs the materialisation: lineage, as for any
+/// other lost partition. Element-generic: `T` is a `(K, V)` pair on the
+/// record path or a whole column batch on the batch-granularity path.
 struct ShuffleOp<T> {
     partitions: usize,
     materialise: Box<dyn Fn() -> Vec<Vec<T>> + Send + Sync>,
-    output: OnceLock<Vec<Arc<Vec<T>>>>,
+    output: Materialised<T>,
 }
 
 impl<T> ShuffleOp<T> {
@@ -1056,18 +1091,19 @@ impl<T> ShuffleOp<T> {
         Self {
             partitions,
             materialise: Box::new(materialise),
-            output: OnceLock::new(),
+            output: Materialised::new(),
         }
     }
 }
 
 impl<T: Send + Sync> RddOp<T> for ShuffleOp<T> {
-    fn compute(&self, part: usize) -> Arc<Vec<T>> {
+    fn compute(&self, part: usize) -> Partition<T> {
         debug_assert!(part < self.partitions);
-        let all = self
-            .output
-            .get_or_init(|| (self.materialise)().into_iter().map(Arc::new).collect());
-        Arc::clone(&all[part])
+        self.output.serve(part, &self.materialise)
+    }
+
+    fn release(&self, part: usize) {
+        self.output.release(part);
     }
 }
 
@@ -1091,24 +1127,44 @@ mod tests {
 
     #[test]
     fn sources_and_read_only_consumers_clone_no_element() {
-        use std::sync::atomic::AtomicUsize;
-        static CLONES: AtomicUsize = AtomicUsize::new(0);
-        struct Counted(u32);
-        impl Clone for Counted {
-            fn clone(&self) -> Self {
-                CLONES.fetch_add(1, Ordering::Relaxed);
-                Counted(self.0)
-            }
-        }
+        crate::shuffle::testing::clone_counted!(CLONES);
+        let clones = || CLONES.load(Ordering::Relaxed);
         let sc = ctx();
         let rdd = sc.parallelize((0..100).map(Counted).collect(), 4);
         let sums = rdd.map_partitions(|part| vec![part.iter().map(|c| c.0).sum::<u32>()]);
         assert_eq!(sums.count(), 4);
         assert_eq!(sums.collect().iter().sum::<u32>(), 4950);
-        assert_eq!(CLONES.load(Ordering::Relaxed), 0, "split, serve and borrow by move");
+        assert_eq!(clones(), 0, "split, serve and borrow without a copy");
+
+        // A shuffled collect: map tasks build the batches they route, the
+        // exchange moves them, and the materialised output leaves by move.
+        let shuffled = rdd
+            .map_partitions_with_index(|i, part| {
+                vec![((i + 1) % 4, CountedBatch(part.iter().map(|c| Counted(c.0)).collect()))]
+            })
+            .exchange_by_index(4);
+        let rows = |bs: &[CountedBatch]| bs.iter().map(|b| b.0.len()).sum::<usize>();
+        assert_eq!(rows(&shuffled.collect()), 100);
+        assert_eq!(clones(), 0, "an exchange partition left by copy");
+        // The collect took every partition out: asking again recomputes
+        // from lineage, still without copying an element.
+        let shuffles = sc.metrics().records_shuffled();
+        assert_eq!(rows(&shuffled.collect()), 100);
+        assert_eq!(sc.metrics().records_shuffled(), 2 * shuffles);
+        assert_eq!(clones(), 0);
+        // A second holder forces the one copy: partition 0 is still served
+        // to `held` when the collect asks to own it, the other three move.
+        let held = shuffled.compute(0);
+        assert_eq!(rows(&shuffled.collect()), 100);
+        assert_eq!(clones(), rows(&held), "exactly the shared partition is copied");
+        assert_eq!(rows(&held), 25);
+
         // Ownership of a partition the source still holds is the one copy.
+        CLONES.store(0, Ordering::Relaxed);
+        assert_eq!(rdd.compute(1).into_vec().len(), 25);
+        assert_eq!(clones(), 25);
         assert_eq!(rdd.collect().len(), 100);
-        assert_eq!(CLONES.load(Ordering::Relaxed), 100);
+        assert_eq!(clones(), 125);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use flowmark_dataflow::plan::{CostAnnotation, LogicalPlan};
 use flowmark_engine::faults::FaultPlan;
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::metrics::EngineMetrics;
-use flowmark_engine::shuffle::{read_verified, seal_all, Sealed};
+use flowmark_engine::shuffle::{read_verified, seal_all, Partition, Sealed};
 use flowmark_engine::spark::SparkContext;
 
 use crate::costs::*;
@@ -144,7 +144,7 @@ pub fn run_flink(env: &FlinkEnv, lines: Vec<String>, needle: &str) -> u64 {
     metrics.add_records_read(extra_rows);
     let sealed: Vec<Sealed<StrColumn>> = seal_all(batches, seed, &metrics);
     env.from_collection(sealed)
-        .map_partition(move |cols: Vec<Sealed<StrColumn>>| {
+        .map_partition(move |cols: Partition<Sealed<StrColumn>>| {
             vec![count_matches(&cols, &needle, seed, &plan, &metrics)]
         })
         .collect()

@@ -9,8 +9,10 @@ use flowmark_core::config::Framework;
 use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::partitioner::RangePartitioner;
 use flowmark_dataflow::plan::{CostAnnotation, ExchangeMode, LogicalPlan};
-use flowmark_datagen::terasort::{sample_split_points, Record, KEY_BYTES};
+use flowmark_datagen::terasort::{sample_split_points, Record, KEY_BYTES, RECORD_BYTES};
 use flowmark_engine::flink::FlinkEnv;
+use flowmark_engine::memory::BufferPool;
+use flowmark_engine::shuffle::Partition;
 use flowmark_engine::spark::SparkContext;
 
 use crate::costs::*;
@@ -93,6 +95,45 @@ pub fn operator_table(fw: Framework) -> Vec<OperatorKind> {
     }
 }
 
+/// Idle bytes the route-bucket pool may hold. Every record of a job sits in
+/// exactly one route bucket, so between two jobs the idle buckets add up to
+/// one job's input: 40 MB at the benchmark's scale (400 k × 100 B). 64 MiB
+/// holds that with room for buckets that outgrew their predecessors; a
+/// larger job recycles what fits and allocates the rest, as every job did
+/// before the pool existed.
+const ROUTE_POOL_IDLE_BYTES: usize = 64 << 20;
+
+/// Route buckets, recycled across jobs and contexts (a caller such as the
+/// benchmark builds a fresh context per job): in steady state the only
+/// pages a job touches for the first time are its output's.
+static ROUTE_POOL: BufferPool<Record> = BufferPool::with_idle_bytes(ROUTE_POOL_IDLE_BYTES);
+
+/// The reducers' key-prefix columns: 8 bytes for each record the route
+/// pool can hold.
+static PREFIX_POOL: BufferPool<u64> =
+    BufferPool::with_idle_bytes(ROUTE_POOL_IDLE_BYTES / RECORD_BYTES * 8);
+
+/// Takes a pooled buffer for `rows` elements (none for no rows). Capacities
+/// are rounded up to a power of two: buffers of near-equal size then serve
+/// one another's requests, instead of every new size adding one more buffer
+/// to the pool. The slack is never touched.
+fn take_pooled<T>(pool: &BufferPool<T>, rows: usize) -> Vec<T> {
+    match rows {
+        0 => Vec::new(),
+        rows => pool.take(rows.next_power_of_two()),
+    }
+}
+
+/// Returns a buffer to the pool it was taken from — and only such a one. A
+/// batch served from the fragment cache is an exactly-sized copy that no
+/// later [`take_pooled`] asks for, and pooling those fills the idle bound
+/// with buffers nobody takes.
+fn put_pooled<T>(pool: &BufferPool<T>, buf: Vec<T>) {
+    if buf.capacity().is_power_of_two() {
+        pool.put(buf);
+    }
+}
+
 /// Partition index for one record under the shared range partitioner.
 fn range_part(partitioner: &KeyRange, r: &Record) -> usize {
     use flowmark_dataflow::partitioner::Partitioner;
@@ -101,40 +142,21 @@ fn range_part(partitioner: &KeyRange, r: &Record) -> usize {
     partitioner.partition(&k)
 }
 
-/// Chunks a record vector into fixed-size batches, moving each record
-/// exactly once: batches split off the *tail* (so `split_off` copies one
-/// batch, not the whole remainder) and the list is reversed at the end.
-fn batch_records(records: Vec<Record>, batch_rows: usize) -> Vec<Vec<Record>> {
-    let mut batches = Vec::with_capacity(records.len().div_ceil(batch_rows).max(1));
-    let mut rest = records;
-    while rest.len() > batch_rows {
-        batches.push(rest.split_off(rest.len() - batch_rows));
-    }
-    batches.push(rest);
-    batches.reverse();
-    batches
-}
-
-/// Routes one map partition's record batches into per-reducer batches
-/// tagged with their target partition: one counting pass pre-sizes every
-/// bucket, then each record moves exactly once.
-fn route_batches(
-    chunks: &[Vec<Record>],
-    partitioner: &KeyRange,
-) -> Vec<(usize, Vec<Record>)> {
+/// Routes one map task's range of the input into per-reducer batches
+/// tagged with their target partition — the first of the two times a
+/// record is written: one counting pass sizes every bucket, the buckets
+/// come from [`ROUTE_POOL`], and each record is copied into its bucket
+/// once.
+fn route(rows: &[Record], partitioner: &KeyRange) -> Vec<(usize, Vec<Record>)> {
     use flowmark_dataflow::partitioner::Partitioner;
-    let parts = partitioner.partitions();
-    let mut counts = vec![0usize; parts];
-    for chunk in chunks {
-        for r in chunk {
-            counts[range_part(partitioner, r)] += 1;
-        }
+    let mut counts = vec![0usize; partitioner.partitions()];
+    for r in rows {
+        counts[range_part(partitioner, r)] += 1;
     }
-    let mut buckets: Vec<Vec<Record>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for chunk in chunks {
-        for r in chunk {
-            buckets[range_part(partitioner, r)].push(r.clone());
-        }
+    let mut buckets: Vec<Vec<Record>> =
+        counts.iter().map(|&c| take_pooled(&ROUTE_POOL, c)).collect();
+    for r in rows {
+        buckets[range_part(partitioner, r)].push(r.clone());
     }
     buckets
         .into_iter()
@@ -143,36 +165,44 @@ fn route_batches(
         .collect()
 }
 
-/// Big-endian `u64` over a record's first 8 key bytes: integer order on the
-/// prefix equals lexicographic order on those bytes, so a flat `u64` column
-/// stands in for the 10-byte key in the radix passes.
-#[inline]
 /// First 4 key bytes as a big-endian integer: 4 radix passes order the
 /// records by their 32-bit prefix (the upper 4 bytes of the `u64` are
 /// zero, so the histogram pre-pass skips them), and 32-bit collisions are
 /// rare enough at per-reducer scale that the comparison tie-break on the
 /// key tail costs almost nothing.
+#[inline]
 fn key_prefix(r: &Record) -> u64 {
     u32::from_be_bytes(r.key()[..4].try_into().expect("keys have 10 bytes")) as u64
 }
 
-/// Concatenates a reducer's routed batches and sorts them by key through
-/// the columnar radix path (the reduce half, run inside the shuffle on the
-/// staged engine): one pass extracts a flat `u64` prefix column,
-/// [`flowmark_columnar::kernels::radix_sort_u64`] produces the permutation
-/// without touching the 100-byte payloads, runs of equal prefixes tie-break
-/// on the key tail, and a single gather pass moves each record exactly
-/// once.
+/// Sorts a reducer's routed batches by key through the columnar radix path
+/// without concatenating them (the reduce half; it only ever sees batches
+/// that passed verification): one pass extracts a flat `u64` prefix column
+/// over the batches in order, [`flowmark_columnar::kernels::radix_sort_u64`]
+/// produces the permutation of that column without touching the 100-byte
+/// payloads, runs of equal prefixes tie-break on the key tail read through
+/// the same index, and a single gather writes each record into the
+/// exactly-sized output — the second and last time it is written. The
+/// spent buckets and the prefix column go back to their pools.
 fn merge_sort_batches(
     batches: Vec<Vec<Record>>,
     metrics: &flowmark_engine::metrics::EngineMetrics,
 ) -> Vec<Record> {
-    let total: usize = batches.iter().map(Vec::len).sum();
-    let mut all = Vec::with_capacity(total);
-    for mut b in batches {
-        all.append(&mut b);
+    // Row `g` of the prefix column is row `g - starts[b]` of the last
+    // batch `b` that starts at or before it.
+    let mut starts = Vec::with_capacity(batches.len());
+    let mut total = 0;
+    for b in &batches {
+        starts.push(total);
+        total += b.len();
     }
-    let keys: Vec<u64> = all.iter().map(key_prefix).collect();
+    let row = |g: u32| {
+        let g = g as usize;
+        let b = starts.partition_point(|&s| s <= g) - 1;
+        &batches[b][g - starts[b]]
+    };
+    let mut keys = take_pooled(&PREFIX_POOL, total);
+    keys.extend(batches.iter().flatten().map(key_prefix));
     let mut perm = flowmark_columnar::kernels::radix_sort_u64(&keys);
     // Records agreeing on the 32-bit prefix (rare for random printable
     // keys, common in adversarial inputs) still need the remaining key
@@ -185,20 +215,23 @@ fn merge_sort_batches(
             j += 1;
         }
         if j - i > 1 {
-            perm[i..j].sort_unstable_by(|&a, &b| {
-                all[a as usize].key()[4..].cmp(&all[b as usize].key()[4..])
-            });
+            perm[i..j].sort_unstable_by(|&a, &b| row(a).key()[4..].cmp(&row(b).key()[4..]));
         }
         i = j;
     }
     metrics.add_radix_sort_runs(1);
-    perm.iter().map(|&i| all[i as usize].clone()).collect()
+    let mut sorted = Vec::with_capacity(total);
+    sorted.extend(perm.iter().map(|&g| row(g).clone()));
+    put_pooled(&PREFIX_POOL, keys);
+    batches.into_iter().for_each(|b| put_pooled(&ROUTE_POOL, b));
+    sorted
 }
 
 /// Runs TeraSort on the staged engine; returns the per-partition sorted
-/// output (concatenation is globally sorted). Records move through the
-/// shuffle as whole routed batches; the per-partition sort runs inside the
-/// shuffle materialisation.
+/// output (concatenation is globally sorted). Each map task routes its
+/// range of `records` into batches that cross the shuffle whole; the
+/// per-partition sort runs inside the shuffle materialisation and its
+/// output is handed back as it stands.
 pub fn run_spark(
     sc: &SparkContext,
     records: Vec<Record>,
@@ -208,22 +241,13 @@ pub fn run_spark(
     let splits = sample_split_points(&records, partitions, 10_000);
     let partitioner = std::sync::Arc::new(KeyRange::new(splits));
     let out_parts = partitioner.partitions();
-    let rows = records.len();
-    let batches = batch_records(records, flowmark_columnar::DEFAULT_BATCH_ROWS);
-    sc.metrics()
-        .add_records_read((rows - batches.len().min(rows)) as u64);
     let metrics = sc.metrics().clone();
-    let rdd = sc
-        .parallelize(batches, partitions)
-        .map_partitions(move |chunks| route_batches(chunks, &partitioner))
-        .exchange_by_index_with(out_parts, move |bs| vec![merge_sort_batches(bs, &metrics)]);
-    (0..rdd.num_partitions())
-        .map(|part| {
-            flowmark_engine::shuffle::take_partition(rdd.compute(part))
-                .into_iter()
-                .flatten()
-                .collect()
-        })
+    sc.parallelize(records, partitions)
+        .map_partitions(move |rows| route(rows, &partitioner))
+        .exchange_by_index_with(out_parts, move |bs| vec![merge_sort_batches(bs, &metrics)])
+        .collect_partitions()
+        .into_iter()
+        .map(|mut sorted| sorted.pop().expect("the reduce emits one batch per partition"))
         .collect()
 }
 
@@ -235,35 +259,12 @@ pub fn run_flink(env: &FlinkEnv, records: Vec<Record>, partitions: usize) -> Vec
     let splits = sample_split_points(&records, partitions, 10_000);
     let partitioner = std::sync::Arc::new(KeyRange::new(splits));
     let out_parts = partitioner.partitions();
-    let rows = records.len();
-    let batches = batch_records(records, flowmark_columnar::DEFAULT_BATCH_ROWS);
-    env.metrics()
-        .add_records_read((rows - batches.len().min(rows)) as u64);
-    env.from_collection(batches)
-        .map_partition(move |chunks: Vec<Vec<Record>>| {
-            let mut counts = vec![0usize; partitioner.partitions()];
-            for chunk in &chunks {
-                for r in chunk {
-                    counts[range_part(&partitioner, r)] += 1;
-                }
-            }
-            let mut routed: Vec<Vec<Record>> =
-                counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-            for chunk in chunks {
-                for r in chunk {
-                    routed[range_part(&partitioner, &r)].push(r);
-                }
-            }
-            routed
-                .into_iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .collect::<Vec<(usize, Vec<Record>)>>()
-        })
+    let metrics = env.metrics().clone();
+    env.from_collection(records)
+        .map_partition(move |rows: Partition<Record>| route(&rows, &partitioner))
         .exchange_by_index(out_parts)
-        .map_partition({
-            let metrics = env.metrics().clone();
-            move |bs: Vec<Vec<Record>>| merge_sort_batches(bs, &metrics)
+        .map_partition(move |bs: Partition<Vec<Record>>| {
+            merge_sort_batches(bs.into_vec(), &metrics)
         })
         .collect_partitions()
 }
@@ -288,13 +289,9 @@ pub fn run_spark_records(
     let rdd = sc
         .parallelize(keyed, partitions)
         .repartition_and_sort_within_partitions(partitioner);
-    (0..rdd.num_partitions())
-        .map(|part| {
-            flowmark_engine::shuffle::take_partition(rdd.compute(part))
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect()
-        })
+    rdd.collect_partitions()
+        .into_iter()
+        .map(|part| part.into_iter().map(|(_, r)| r).collect())
         .collect()
 }
 
@@ -424,9 +421,16 @@ mod tests {
         records.rotate_left(37);
         let expect = oracle(records.clone());
         let metrics = flowmark_engine::metrics::EngineMetrics::new();
-        let sorted = merge_sort_batches(vec![records], &metrics);
+        let sorted = merge_sort_batches(vec![records.clone()], &metrics);
         assert_eq!(sorted, expect);
         assert_eq!(metrics.radix_sort_runs(), 1);
+        // The same rows as uneven routed batches, one of them empty: the
+        // tie-break and the gather read them through the batch index.
+        let tail = records.split_off(61);
+        let mid = records.split_off(7);
+        let batches = vec![records, Vec::new(), mid, tail];
+        assert_eq!(merge_sort_batches(batches, &metrics), expect);
+        assert!(merge_sort_batches(Vec::new(), &metrics).is_empty());
     }
 
     #[test]

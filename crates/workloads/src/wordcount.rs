@@ -15,6 +15,7 @@ use flowmark_dataflow::plan::{CostAnnotation, LogicalPlan};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::hash::{fx_map_with_capacity, FxHasher64, FxHashMap};
 use flowmark_engine::metrics::EngineMetrics;
+use flowmark_engine::shuffle::Partition;
 use flowmark_engine::spark::SparkContext;
 
 use crate::costs::*;
@@ -204,9 +205,9 @@ pub fn run_flink(env: &FlinkEnv, lines: Vec<String>) -> HashMap<String, u64> {
     let (batches, extra_rows) = batch_lines(lines);
     metrics.add_records_read(extra_rows);
     env.from_collection(batches)
-        .map_partition(move |cols: Vec<StrColumn>| count_batches(&cols, out_parts, &metrics))
+        .map_partition(move |cols: Partition<StrColumn>| count_batches(&cols, out_parts, &metrics))
         .exchange_by_index(out_parts)
-        .map_partition(move |bs: Vec<StrU64Batch>| {
+        .map_partition(move |bs: Partition<StrU64Batch>| {
             merge_batches(&bs, &merge_metrics).into_iter().collect::<Vec<_>>()
         })
         .collect()
@@ -231,7 +232,7 @@ pub fn run_spark_records(
 /// reference).
 pub fn run_flink_records(env: &FlinkEnv, lines: Vec<String>) -> HashMap<String, u64> {
     env.from_collection(lines)
-        .map_partition(|lines: Vec<String>| count_partition(&lines))
+        .map_partition(|lines: Partition<String>| count_partition(lines.iter()))
         .group_reduce(|a, b| *a += b)
         .collect()
         .into_iter()

@@ -388,3 +388,41 @@ fn terasort_shuffles_each_record_exactly_once() {
     terasort::validate_output(records.len(), &out).unwrap();
     assert_eq!(env.metrics().records_shuffled(), n);
 }
+
+/// TeraSort's deterministic counters are a function of the input alone:
+/// two fresh contexts agree on each engine, and both read what the commit
+/// before the two-materialisation data plane read for this seed (every
+/// record shuffled once in 100 bytes, one sealed batch per non-empty
+/// (map task, reducer) pair, every record read once).
+#[test]
+fn terasort_counters_repeat_exactly() {
+    use flowmark_datagen::terasort::TeraGen;
+    use flowmark_workloads::terasort;
+
+    let records = TeraGen::new(11).records(40_000);
+    let counters = |m: &flowmark_engine::EngineMetrics| {
+        (
+            m.records_shuffled(),
+            m.bytes_shuffled(),
+            m.recovery().batches_checksummed,
+            m.records_read(),
+        )
+    };
+    let staged = || {
+        let sc = SparkContext::new(4, 64 << 20);
+        let out = terasort::run_spark(&sc, records.clone(), 4);
+        (counters(sc.metrics()), out)
+    };
+    let pipelined = || {
+        let env = FlinkEnv::new(4);
+        let out = terasort::run_flink(&env, records.clone(), 4);
+        (counters(env.metrics()), out)
+    };
+    let parent = (40_000, 4_000_000, 16, 40_000);
+    for (first, second) in [(staged(), staged()), (pipelined(), pipelined())] {
+        assert_eq!(first.0, second.0, "counters differ between fresh contexts");
+        assert_eq!(first.0, parent, "counters moved against the parent commit");
+        assert_eq!(first.1, second.1, "a recycled buffer changed the output");
+        terasort::validate_output(records.len(), &first.1).unwrap();
+    }
+}

@@ -170,6 +170,59 @@ fn kill_during_batch_exchange_recovers_via_verified_checkpoints() {
     assert!(rec.region_restarts >= 1, "grep: the kill did not restart the region");
 }
 
+/// A buffer recycled from a killed attempt has one owner. Four TeraSort
+/// jobs at once — both engines, each killed mid-exchange so that its
+/// attempt's route buckets are dropped or replayed — draw their buckets
+/// from the one process-wide pool while the clean jobs that follow reuse
+/// what they returned; a bucket reachable from two jobs would show up as
+/// records of one input in the other's output.
+#[test]
+fn killed_exchanges_never_share_a_recycled_route_buffer() {
+    install_quiet_hook();
+    let kill = |seed: u64| {
+        FaultPlan::new(FaultConfig {
+            seed,
+            kill_list: vec![(1, 0, 0)],
+            checkpoint_interval_records: 2,
+            ..FaultConfig::default()
+        })
+    };
+    let sorted_exactly = |records: &[flowmark_datagen::terasort::Record],
+                          out: Vec<Vec<flowmark_datagen::terasort::Record>>| {
+        terasort::validate_output(records.len(), &out).unwrap();
+        let mut out: Vec<_> = out.into_iter().flatten().collect();
+        let mut expect = records.to_vec();
+        out.sort_by_key(|r| r.0);
+        expect.sort_by_key(|r| r.0);
+        assert!(out == expect, "the output is not the input's records");
+    };
+    std::thread::scope(|scope| {
+        for job in 0..4u64 {
+            scope.spawn(move || {
+                let records = TeraGen::new(600 + job).records(TS_RECORDS);
+                for faults in [true, false] {
+                    // Stage 1 is the routing map stage on the staged engine
+                    // (the source's child RDD) and the exchange on the
+                    // pipelined one (the sink takes stage 0).
+                    let plan = if faults { kill(job) } else { FaultPlan::disabled() };
+                    let out = if job % 2 == 0 {
+                        let sc = SparkContext::with_faults(PARTS, 64 << 20, plan);
+                        let out = terasort::run_spark(&sc, records.clone(), PARTS);
+                        assert_eq!(sc.metrics().recovery().injected_failures, u64::from(faults));
+                        out
+                    } else {
+                        let env = FlinkEnv::with_faults(PARTS, plan);
+                        let out = terasort::run_flink(&env, records.clone(), PARTS);
+                        assert_eq!(env.metrics().recovery().region_restarts, u64::from(faults));
+                        out
+                    };
+                    sorted_exactly(&records, out);
+                }
+            });
+        }
+    });
+}
+
 /// The whole drill is a pure function of its seeds: the same corrupted run
 /// replayed twice produces the same verified output.
 #[test]
