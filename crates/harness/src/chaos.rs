@@ -22,7 +22,7 @@ use flowmark_workloads::connected::{self, CcVariant};
 use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
 use serde::{Deserialize, Serialize};
 
-/// Fixed dataset seeds, mirroring the smoke bench.
+/// Fixed dataset seeds, shared with the tuning workbench and the soak drill.
 const WC_SEED: u64 = 7;
 const GREP_SEED: u64 = 3;
 const TS_SEED: u64 = 11;

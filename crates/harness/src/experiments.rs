@@ -333,6 +333,46 @@ pub fn fig17(cal: &Calibration) -> Result<ResourceFigure, HarnessError> {
     )
 }
 
+/// A time figure: its id, the [`crate::paper::expected_winner`] id its
+/// shape is checked against, and its runner.
+pub struct TimeFigure {
+    /// Stable id (`fig1`, ...), as `repro` accepts it.
+    pub id: &'static str,
+    /// Paper-expectation id; differs from `id` only for `fig1`, whose
+    /// verdict is the large-cluster one.
+    pub expect_id: &'static str,
+    /// Regenerates the figure.
+    pub run: fn(&Calibration) -> Result<Figure, HarnessError>,
+}
+
+const fn time_figure(
+    id: &'static str,
+    expect_id: &'static str,
+    run: fn(&Calibration) -> Result<Figure, HarnessError>,
+) -> TimeFigure {
+    TimeFigure { id, expect_id, run }
+}
+
+/// Every time figure, in paper order.
+pub static TIME_FIGURES: [TimeFigure; 11] = [
+    time_figure("fig1", "fig1-large", fig1),
+    time_figure("fig2", "fig2", fig2),
+    time_figure("fig4", "fig4", fig4),
+    time_figure("fig5", "fig5", fig5),
+    time_figure("fig7", "fig7", fig7),
+    time_figure("fig8", "fig8", fig8),
+    time_figure("fig11", "fig11", fig11),
+    time_figure("fig12", "fig12", fig12),
+    time_figure("fig13", "fig13", fig13),
+    time_figure("fig14", "fig14", fig14),
+    time_figure("fig15", "fig15", fig15),
+];
+
+/// Looks up a time figure by its `repro` id.
+pub fn find_time_figure(id: &str) -> Option<&'static TimeFigure> {
+    TIME_FIGURES.iter().find(|f| f.id == id)
+}
+
 // ---------------------------------------------------------------------------
 // Table VII: Large graph
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod bench;
 pub mod chaos;
 pub mod error;
 pub mod experiments;

@@ -6,7 +6,6 @@
 //! repro table7            # run Table VII
 //! repro calibration       # paper-vs-simulated calibration table
 //! repro all               # regenerate EXPERIMENTS.md content to stdout
-//! repro bench --smoke     # time the real-engine hot path, write BENCH_PR1.json
 //! repro chaos             # fault-injection drill: kill + straggle every workload
 //! repro tune --smoke      # bottleneck-guided auto-tune of both engines, write BENCH_PR3.json
 //! repro soak --smoke      # chaos-soak the supervised job service, write BENCH_PR4.json
@@ -86,12 +85,12 @@ fn run() -> Result<(), HarnessError> {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "list".into());
     match arg.as_str() {
         "list" => {
-            println!("time figures : fig1 fig2 fig4 fig5 fig7 fig8 fig11 fig12 fig13 fig14 fig15");
+            let ids: Vec<&str> = experiments::TIME_FIGURES.iter().map(|f| f.id).collect();
+            println!("time figures : {}", ids.join(" "));
             println!("resources    : fig3 fig6 fig9 fig10 fig16 fig17");
             println!("tables       : table1 table7");
             println!("ablations    : abl-delta abl-serde abl-par abl-part abl-mem");
             println!("meta         : calibration verify all export <figN>");
-            println!("perf         : bench --smoke [--label L] [--out FILE] [--seed-baseline FILE]");
             println!("robustness   : chaos [--seed N] [--fail-prob P] [--straggler-prob P] [--corruption] [--streaming] [--tiny] [--out FILE]");
             println!("             : soak [--smoke] [--seed N] [--out FILE]");
             println!("             : soak --mix-concurrent N [--smoke] [--seed S] [--out FILE]");
@@ -255,44 +254,6 @@ fn run() -> Result<(), HarnessError> {
                 std::process::exit(1);
             }
         }
-        "bench" => {
-            use flowmark_harness::bench::{self, SmokeScale};
-            let rest: Vec<String> = std::env::args().skip(2).collect();
-            if !rest.iter().any(|a| a == "--smoke") {
-                return Err(HarnessError::Usage(
-                    "usage: repro bench --smoke [--label L] [--out FILE] [--seed-baseline FILE]"
-                        .into(),
-                ));
-            }
-            let label = flag_value(&rest, "--label").unwrap_or_else(|| "optimized".into());
-            let out_path = flag_value(&rest, "--out").unwrap_or_else(|| "BENCH_PR5.json".into());
-            let baseline_path =
-                flag_value(&rest, "--seed-baseline").unwrap_or_else(|| "BENCH_PR1_SEED.json".into());
-            let report = bench::run_smoke(SmokeScale::full(), &label);
-            // A `seed`-labelled run IS the baseline capture; anything else
-            // embeds the committed baseline when present and reports
-            // per-cell speedups against it.
-            let baseline = if label == "seed" {
-                None
-            } else {
-                std::fs::read_to_string(&baseline_path)
-                    .ok()
-                    .and_then(|s| {
-                        serde_json::from_str::<bench::ComparisonReport>(&s)
-                            .map(|c| c.measured)
-                            .ok()
-                    })
-            };
-            let comparison = bench::compare(report, baseline);
-            print!("{}", bench::render(&comparison));
-            if comparison.measured.cells.iter().any(|c| !c.verified) {
-                eprintln!("bench output diverged from the sequential oracle");
-                std::process::exit(1);
-            }
-            let json = serde_json::to_string_pretty(&comparison)?;
-            write_file(&out_path, json + "\n")?;
-            println!("wrote {out_path}");
-        }
         "table1" => {
             use flowmark_core::config::Framework;
             use flowmark_workloads::Workload;
@@ -311,58 +272,18 @@ fn run() -> Result<(), HarnessError> {
         "export" => {
             use flowmark_core::export::{figure_to_csv, figure_to_json};
             let which = std::env::args().nth(2).unwrap_or_else(|| "fig1".into());
-            let fig = match which.as_str() {
-                "fig1" => experiments::fig1(&cal)?,
-                "fig2" => experiments::fig2(&cal)?,
-                "fig4" => experiments::fig4(&cal)?,
-                "fig5" => experiments::fig5(&cal)?,
-                "fig7" => experiments::fig7(&cal)?,
-                "fig8" => experiments::fig8(&cal)?,
-                "fig11" => experiments::fig11(&cal)?,
-                "fig12" => experiments::fig12(&cal)?,
-                "fig13" => experiments::fig13(&cal)?,
-                "fig14" => experiments::fig14(&cal)?,
-                "fig15" => experiments::fig15(&cal)?,
-                other => {
-                    return Err(HarnessError::Usage(format!(
-                        "cannot export '{other}' (time figures only)"
-                    )));
-                }
+            let Some(tf) = experiments::find_time_figure(&which) else {
+                return Err(HarnessError::Usage(format!(
+                    "cannot export '{which}' (time figures only)"
+                )));
             };
+            let fig = (tf.run)(&cal)?;
             std::fs::create_dir_all("artifacts").map_err(|e| HarnessError::io("artifacts", e))?;
             let json_path = format!("artifacts/{which}.json");
             let csv_path = format!("artifacts/{which}.csv");
             write_file(&json_path, figure_to_json(&fig))?;
             write_file(&csv_path, figure_to_csv(&fig))?;
             println!("wrote {json_path} and {csv_path}");
-        }
-        "fig1" | "fig2" | "fig4" | "fig5" | "fig7" | "fig8" | "fig11" | "fig12" | "fig13"
-        | "fig14" | "fig15" => {
-            let fig = match arg.as_str() {
-                "fig1" => experiments::fig1(&cal)?,
-                "fig2" => experiments::fig2(&cal)?,
-                "fig4" => experiments::fig4(&cal)?,
-                "fig5" => experiments::fig5(&cal)?,
-                "fig7" => experiments::fig7(&cal)?,
-                "fig8" => experiments::fig8(&cal)?,
-                "fig11" => experiments::fig11(&cal)?,
-                "fig12" => experiments::fig12(&cal)?,
-                "fig13" => experiments::fig13(&cal)?,
-                "fig14" => experiments::fig14(&cal)?,
-                _ => experiments::fig15(&cal)?,
-            };
-            print!("{}", render_figure(&fig));
-            let expect_id = if arg == "fig1" { "fig1-large" } else { arg.as_str() };
-            let check = check_shape(&fig, paper::expected_winner(expect_id));
-            println!(
-                "shape: {} — {}",
-                check.verdict,
-                if check.matches_paper {
-                    "matches the paper"
-                } else {
-                    "DOES NOT match the paper"
-                }
-            );
         }
         "fig3" => print_resource_figure(&experiments::fig3(&cal)?),
         "fig6" => print_resource_figure(&experiments::fig6(&cal)?),
@@ -413,22 +334,10 @@ fn run() -> Result<(), HarnessError> {
         "verify" => {
             // CI-style check: every time figure's winner must match the
             // paper's expectation; exits non-zero otherwise.
-            let checks = [
-                ("fig1-large", experiments::fig1(&cal)?),
-                ("fig2", experiments::fig2(&cal)?),
-                ("fig4", experiments::fig4(&cal)?),
-                ("fig5", experiments::fig5(&cal)?),
-                ("fig7", experiments::fig7(&cal)?),
-                ("fig8", experiments::fig8(&cal)?),
-                ("fig11", experiments::fig11(&cal)?),
-                ("fig12", experiments::fig12(&cal)?),
-                ("fig13", experiments::fig13(&cal)?),
-                ("fig14", experiments::fig14(&cal)?),
-                ("fig15", experiments::fig15(&cal)?),
-            ];
             let mut failures = 0;
-            for (id, fig) in checks {
-                let c = check_shape(&fig, paper::expected_winner(id));
+            for tf in &experiments::TIME_FIGURES {
+                let fig = (tf.run)(&cal)?;
+                let c = check_shape(&fig, paper::expected_winner(tf.expect_id));
                 println!(
                     "{:<12} {} — {}",
                     fig.id,
@@ -467,9 +376,23 @@ fn run() -> Result<(), HarnessError> {
         "calibration" => print!("{}", calibration_report(&cal)?),
         "all" => print!("{}", report::experiments_markdown(&cal)?),
         other => {
-            return Err(HarnessError::Usage(format!(
-                "unknown experiment '{other}'; try `repro list`"
-            )));
+            let Some(tf) = experiments::find_time_figure(other) else {
+                return Err(HarnessError::Usage(format!(
+                    "unknown experiment '{other}'; try `repro list`"
+                )));
+            };
+            let fig = (tf.run)(&cal)?;
+            print!("{}", render_figure(&fig));
+            let check = check_shape(&fig, paper::expected_winner(tf.expect_id));
+            println!(
+                "shape: {} — {}",
+                check.verdict,
+                if check.matches_paper {
+                    "matches the paper"
+                } else {
+                    "DOES NOT match the paper"
+                }
+            );
         }
     }
     Ok(())

@@ -196,10 +196,11 @@ pub fn experiments_markdown(cal: &Calibration) -> Result<String, crate::HarnessE
     let _ = writeln!(out, "\n## Wall-clock bench artifacts\n");
     let _ = writeln!(
         out,
-        "Committed `BENCH_*.json` reports from `repro bench --smoke` time the \
-         real engines (not the simulator) before/after each hot-path \
-         rewrite; see README \"Benchmarking\" for the format. \
-         `BENCH_PR1_SEED.json` is the pre-optimization baseline, \
+        "Committed `BENCH_*.json` reports are frozen artifacts of the retired \
+         `repro bench --smoke`, a best-of-3 smoke bench that timed the real \
+         engines (not the simulator) before/after each hot-path rewrite. \
+         `flowbench` (`crates/flowbench`) superseded it; no code reads the \
+         files any more. `BENCH_PR1_SEED.json` is the pre-optimization baseline, \
          `BENCH_PR1.json` the shuffle overhaul, `BENCH_PR5.json` the CSR + \
          sender-side-combining iteration rewrite, and `BENCH_PR6.json` the \
          columnar batch-execution core (typed column batches, vectorized \

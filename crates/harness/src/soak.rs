@@ -38,7 +38,7 @@ use flowmark_workloads::stream::{canonical, nexmark_source, q6_operator, q6_orac
 use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
 use serde::{Deserialize, Serialize};
 
-/// Fixed dataset seeds, mirroring the chaos drill and the smoke bench.
+/// Fixed dataset seeds, mirroring the chaos drill.
 const WC_SEED: u64 = 7;
 const GREP_SEED: u64 = 3;
 const TS_SEED: u64 = 11;

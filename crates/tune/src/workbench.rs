@@ -1,7 +1,7 @@
 //! The measurement rig: the six workloads of Table III on either engine.
 //!
 //! A [`Workbench`] owns one workload's dataset (generated once, from the
-//! same seeds and recipes as the smoke bench and the chaos drill) and
+//! same seeds and recipes as the chaos drill) and
 //! measures any [`EngineConfig`] on any prefix fraction of it, verifying
 //! every run against the sequential oracle. Oracles are memoised per
 //! prefix length, so successive-halving rungs don't recompute them.
@@ -21,7 +21,7 @@ use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
 
 use crate::search::{Budget, Measure, Measurement};
 
-/// Fixed dataset seeds, shared with the smoke bench and chaos drill.
+/// Fixed dataset seeds, shared with the chaos drill.
 const WC_SEED: u64 = 7;
 const GREP_SEED: u64 = 3;
 const TS_SEED: u64 = 11;
@@ -151,7 +151,7 @@ pub struct Workbench {
 
 impl Workbench {
     /// Generates the workload's dataset at `scale` (same seeds and recipes
-    /// as the smoke bench).
+    /// as the chaos drill).
     pub fn new(workload: WorkloadId, engine: Framework, scale: TuneScale) -> Self {
         let data = match workload {
             WorkloadId::WordCount => {

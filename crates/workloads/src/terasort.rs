@@ -320,8 +320,8 @@ pub fn oracle(mut records: Vec<Record>) -> Vec<Record> {
     records
 }
 
-/// Checks the TeraSort output contract: each partition sorted, partitions
-/// in global key order, and the multiset of records preserved.
+/// Checks the output's shape only: `input_len` records in total, keys
+/// non-decreasing across partitions. Contents are unchecked; see [`oracle`].
 pub fn validate_output(input_len: usize, output: &[Vec<Record>]) -> Result<(), String> {
     let total: usize = output.iter().map(Vec::len).sum();
     if total != input_len {

@@ -84,35 +84,46 @@ fn grep_batch_path_executes_and_matches_oracle() {
 #[test]
 fn terasort_batch_path_executes_and_matches_oracle() {
     let records = TeraGen::new(11).records(5000);
-    let expect: Vec<Vec<u8>> = terasort::oracle(records.clone())
-        .iter()
-        .map(|r| r.key().to_vec())
-        .collect();
-    let keys = |out: &[Vec<flowmark_datagen::terasort::Record>]| -> Vec<Vec<u8>> {
-        out.iter().flatten().map(|r| r.key().to_vec()).collect()
+    // TeraGen keys are distinct, so the sorted order of whole records
+    // (payloads included) is defined.
+    let expect = terasort::oracle(records.clone());
+    let flat = |out: Vec<Vec<flowmark_datagen::terasort::Record>>| -> Vec<_> {
+        out.into_iter().flatten().collect()
     };
 
     let sc = new_sc();
     let spark = terasort::run_spark(&sc, records.clone(), PARTS);
     terasort::validate_output(records.len(), &spark).expect("spark output invalid");
-    assert_eq!(keys(&spark), expect);
+    assert!(
+        flat(spark) == expect,
+        "spark output differs from the oracle"
+    );
     let m = sc.metrics().snapshot();
     assert!(m.batches_processed > 0, "spark batch shuffle did not run");
 
     let env = new_env();
     let flink = terasort::run_flink(&env, records.clone(), PARTS);
     terasort::validate_output(records.len(), &flink).expect("flink output invalid");
-    assert_eq!(keys(&flink), expect);
+    assert!(
+        flat(flink) == expect,
+        "flink output differs from the oracle"
+    );
     let m = env.metrics().snapshot();
     assert!(m.batches_processed > 0, "flink batch shuffle did not run");
 
     let sc = new_sc();
     let spark = terasort::run_spark_records(&sc, records.clone(), PARTS);
-    assert_eq!(keys(&spark), expect);
+    assert!(
+        flat(spark) == expect,
+        "spark record adapter differs from the oracle"
+    );
     assert_eq!(sc.metrics().snapshot().batches_processed, 0);
     let env = new_env();
     let flink = terasort::run_flink_records(&env, records, PARTS);
-    assert_eq!(keys(&flink), expect);
+    assert!(
+        flat(flink) == expect,
+        "flink record adapter differs from the oracle"
+    );
     assert_eq!(env.metrics().snapshot().batches_processed, 0);
 }
 

@@ -6,13 +6,14 @@
 # Runs <pairs> pairs of `flowbench run --trace 0`, one fresh seed per pair
 # (first-seed, first-seed + 1, …; default 101), alternating which side goes
 # first so that drift cancels, and prints for every end-to-end metric of
-# BENCHMARK.json both medians, both inter-quartile ranges, the change's win
-# count and the metric's bound — the table choosing-metrics §8 asks for.
+# BENCHMARK.json both medians, both inter-quartile ranges, the change's wins
+# out of all pairs, the tied pairs (which count for neither side, as at the
+# merge gate) and the metric's bound.
 # Run from the repository root: it reads ./BENCHMARK.json and writes nothing.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-    sed -n '2,11p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 pairs=$4 first_seed=${5:-101}
@@ -53,7 +54,7 @@ seeds = sorted(sides["parent"])
 print(f"{workload}: {len(seeds)} interleaved pairs, seeds {seeds[0]}..{seeds[-1]}; "
       f"failed or incorrect runs: parent {failed['parent']}, change {failed['change']}")
 print(f"{'metric':<22}{'parent median':>16}{'IQR':>12}{'change median':>16}{'IQR':>12}"
-      f"{'ratio':>8}{'wins':>7}{'bound':>7}")
+      f"{'ratio':>8}{'wins':>7}{'ties':>6}{'bound':>7}")
 for m in spec:
     name, higher = m["name"], m["better"] == "higher"
     p = [sides["parent"][s][name] for s in seeds]
@@ -63,5 +64,5 @@ for m in spec:
     ties = sum(x == y for x, y in zip(p, c))
     ratio = cm / pm if pm else float("nan")
     print(f"{name:<22}{pm:>16.6g}{pi:>12.4g}{cm:>16.6g}{ci:>12.4g}{ratio:>8.2f}"
-          f"{f'{wins}/{len(seeds) - ties}':>7}{m['bound']:>7.0%}")
+          f"{f'{wins}/{len(seeds)}':>7}{ties:>6}{m['bound']:>7.0%}")
 PY

@@ -6,14 +6,16 @@
 # Runs tools/ab.sh once per workload (its table is printed as it completes)
 # and ends with the verdict the merge gate reaches from the same numbers:
 # for the claimed cell, the change's wins, both medians and the parent's
-# inter-quartile range (a claim holds at >= 9/10 wins and a median moved by
-# more than that range); and every (workload, metric) whose change median is
-# worse than the parent's by more than the metric's bound. ~20 s a pair and
-# workload; run nothing else meanwhile. Run from the repository root.
+# inter-quartile range (a claim holds when the change wins at least 9 in 10
+# of *all* pairs, a tie counting for neither side, and its median is better
+# than the parent's by more than that range); and every (workload, metric)
+# whose change median is worse than the parent's by more than the metric's
+# bound. ~20 s a pair and workload; run nothing else meanwhile. Run from the
+# repository root.
 set -euo pipefail
 
 if [ $# -ne 3 ] && [ $# -ne 5 ]; then
-    sed -n '2,12p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1 change=$2 pairs=$3 claim_workload=${4:-} claim_metric=${5:-}
@@ -39,20 +41,21 @@ for line in open(tables):
             failed.append(line.strip())
     elif cells and cells[0] in spec:
         pm, pi, cm, ci = map(float, cells[1:5])
-        rows.append((workload, cells[0], pm, pi, cm, ci, cells[6]))
+        rows.append((workload, cells[0], pm, pi, cm, ci, cells[6], cells[7]))
 
 print("\nverdict")
 for line in failed:
     print(f"  FAILED RUNS  {line}")
-for w, name, pm, pi, cm, ci, wins in rows:
+for w, name, pm, pi, cm, ci, wins, ties in rows:
     if (w, name) == (claim_workload, claim_metric):
-        won, of = map(int, wins.split("/"))
-        holds = of > 0 and won * 10 >= of * 9 and abs(cm - pm) > pi
-        print(f"  claim        {w} {name}: wins {wins}, parent {pm:.6g} (IQR {pi:.4g}), "
+        won, pairs = map(int, wins.split("/"))
+        gain = cm - pm if spec[name]["better"] == "higher" else pm - cm
+        holds = pairs > 0 and won * 10 >= pairs * 9 and gain > pi
+        print(f"  claim        {w} {name}: wins {wins}, ties {ties}, parent {pm:.6g} (IQR {pi:.4g}), "
               f"change {cm:.6g} (IQR {ci:.4g}), ratio {cm / pm:.2f} -> "
               f"{'holds' if holds else 'NOT MET'}")
 worse = []
-for w, name, pm, pi, cm, ci, wins in rows:
+for w, name, pm, pi, cm, ci, wins, ties in rows:
     bound, higher = spec[name]["bound"], spec[name]["better"] == "higher"
     if (cm < pm * (1 - bound)) if higher else (cm > pm * (1 + bound)):
         worse.append(f"  REGRESSION   {w} {name}: parent {pm:.6g}, change {cm:.6g}, "
