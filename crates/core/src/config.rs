@@ -368,24 +368,21 @@ pub enum PartitionerChoice {
     Range,
 }
 
-/// How an engine obtains threads for its stage/partition tasks.
-///
-/// Historically both engines spawned their own threads per job (scoped
-/// chunk threads in the staged engine, one thread per partition per
-/// operator in the pipelined one). That remains the default — it is the
-/// measured baseline — but under concurrent multi-job load the shared
-/// work-stealing pool (`flowmark-sched::TaskPool::global`) keeps a fixed
-/// core set busy across jobs instead of oversubscribing the machine.
+/// Where an engine runs its stage/partition tasks. There is one
+/// executor: every finite task of either engine goes to the process-wide
+/// work-stealing pool (`flowmark-sched::TaskPool::global`), which keeps a
+/// fixed core set busy across stages and concurrent jobs. The type
+/// remains so configs that name it still parse and build; it carries no
+/// choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum ExecutorMode {
-    /// Legacy per-job thread spawning (the bench baseline).
-    #[default]
-    PerJob,
     /// Submit stage tasks to the process-wide work-stealing pool.
     ///
-    /// The pipelined engine's exchange producers/consumers keep their
-    /// dedicated threads in this mode too: they block on bounded
-    /// channels, which a fixed-size pool must never absorb.
+    /// Threads that block on channels (the pipelined exchange's
+    /// producers/consumers, the vertex-centric workers, the streaming
+    /// runtimes) keep dedicated threads: a fixed-size pool must never
+    /// absorb a blocking loop.
+    #[default]
     SharedPool,
 }
 
@@ -417,8 +414,9 @@ pub struct EngineConfig {
     /// Storage-cache budget in bytes (staged engine's block cache;
     /// the pipelined engine has no persistence layer, §VI-B).
     pub cache_bytes: u64,
-    /// Where stage/partition tasks execute (defaults to the legacy
-    /// per-job spawning; serde-defaulted so older artifacts parse).
+    /// Where stage/partition tasks execute: always the shared pool, so
+    /// the field carries no choice (serde-defaulted so artifacts without
+    /// it parse).
     #[serde(default)]
     pub executor: ExecutorMode,
 }
@@ -482,10 +480,6 @@ impl EngineConfig {
             PartitionerChoice::Range => 1,
         });
         eat(self.cache_bytes);
-        eat(match self.executor {
-            ExecutorMode::PerJob => 0,
-            ExecutorMode::SharedPool => 1,
-        });
         h
     }
 

@@ -364,12 +364,11 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
         let plan = env.faults();
         let stage = env.next_stage_id();
         let op = &self.op;
-        // `PerJob` keeps the legacy shape (one scoped thread per partition,
-        // join in order, first panic payload re-raised intact — JobCancelled
-        // must reach the serve layer typed, not as a joined-thread Any);
-        // `SharedPool` submits the same tasks as one work-stealing batch
-        // with the identical payload contract.
-        runtime::run_stage_per_task(env.config().executor, env.metrics(), self.partitions, |p| {
+        // One pool batch of sink tasks. The first panic payload is re-raised
+        // intact (JobCancelled must reach the serve layer typed); exchange
+        // producers and consumers keep their own threads, so a sink task
+        // waiting on an exchange never waits on a pool slot.
+        runtime::run_stage(env.metrics(), self.partitions, |p| {
             env.task_started();
             let cancel = env.cancel_token();
             let out = if plan.active() {

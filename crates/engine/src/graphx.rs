@@ -228,7 +228,7 @@ mod tests {
     use crate::faults::{FaultConfig, FaultPlan};
     use crate::flink::FlinkEnv;
     use crate::gelly;
-    use flowmark_core::config::{EngineConfig, ExecutorMode};
+    use flowmark_core::config::EngineConfig;
 
     fn sc() -> SparkContext {
         SparkContext::new(4, 64 << 20)
@@ -281,13 +281,10 @@ mod tests {
         );
     }
 
-    /// A context on `mode` at parallelism 4 under `faults`.
-    fn armed(mode: ExecutorMode, faults: FaultConfig) -> SparkContext {
+    /// A context at parallelism 4 under `faults`.
+    fn armed(faults: FaultConfig) -> SparkContext {
         crate::faults::install_quiet_hook();
-        let config = EngineConfig {
-            executor: mode,
-            ..EngineConfig::with_parallelism(4)
-        };
+        let config = EngineConfig::with_parallelism(4);
         SparkContext::with_config_and_faults(&config, FaultPlan::new(faults))
     }
 
@@ -306,64 +303,53 @@ mod tests {
         for &(_, t) in &edges {
             *in_degree.entry(t).or_default() += 1;
         }
-        for mode in [ExecutorMode::PerJob, ExecutorMode::SharedPool] {
-            let ctx = armed(mode, FaultConfig::chaos(21));
-            let graph = Graph::load(&ctx, &edges, 4);
-            // The guaranteed first kill landed in the load wave; what
-            // follows are kills inside superstep waves.
-            let loaded = ctx.metrics().snapshot();
-            for _ in 0..40 {
-                let counts = graph.aggregate_messages(
-                    |_, targets, out| targets.iter().for_each(|&t| out.to(t, 1u64)),
-                    |a, b| a + b,
-                );
-                for (v, id) in graph.ids.iter().enumerate() {
-                    assert_eq!(counts.get(v), in_degree.get(id).copied(), "vertex {id}");
-                }
+        let ctx = armed(FaultConfig::chaos(21));
+        let graph = Graph::load(&ctx, &edges, 4);
+        // The guaranteed first kill landed in the load wave; what
+        // follows are kills inside superstep waves.
+        let loaded = ctx.metrics().snapshot();
+        for _ in 0..40 {
+            let counts = graph.aggregate_messages(
+                |_, targets, out| targets.iter().for_each(|&t| out.to(t, 1u64)),
+                |a, b| a + b,
+            );
+            for (v, id) in graph.ids.iter().enumerate() {
+                assert_eq!(counts.get(v), in_degree.get(id).copied(), "vertex {id}");
             }
-            let end = ctx.metrics().snapshot();
-            let kills = end.recovery.injected_failures - loaded.recovery.injected_failures;
-            let recomputed =
-                end.recovery.partitions_recomputed - loaded.recovery.partitions_recomputed;
-            assert!(kills >= 1, "{mode:?}: no kill landed inside a wave");
-            assert!(
-                (1..=kills).contains(&recomputed),
-                "{mode:?}: {kills} kills recomputed {recomputed} partitions"
-            );
-            assert_eq!(
-                end.recovery.task_retries,
-                end.recovery.partitions_recomputed
-            );
-            assert_eq!(end.recovery.region_restarts, 0);
-            // The retried map task re-reads its edge partition from the
-            // block cache: the persisted graph is never rebuilt.
-            assert_eq!(end.cache_misses, loaded.cache_misses);
-            assert!(end.cache_hits > loaded.cache_hits);
         }
+        let end = ctx.metrics().snapshot();
+        let kills = end.recovery.injected_failures - loaded.recovery.injected_failures;
+        let recomputed = end.recovery.partitions_recomputed - loaded.recovery.partitions_recomputed;
+        assert!(kills >= 1, "no kill landed inside a wave");
+        assert!(
+            (1..=kills).contains(&recomputed),
+            "{kills} kills recomputed {recomputed} partitions"
+        );
+        assert_eq!(
+            end.recovery.task_retries,
+            end.recovery.partitions_recomputed
+        );
+        assert_eq!(end.recovery.region_restarts, 0);
+        // The retried map task re-reads its edge partition from the
+        // block cache: the persisted graph is never rebuilt.
+        assert_eq!(end.cache_misses, loaded.cache_misses);
+        assert!(end.cache_hits > loaded.cache_hits);
     }
 
     #[test]
     fn a_rotten_message_batch_is_detected_and_recomputed() {
         let edges = random_edges(9, 600, 120);
         let expect = gelly::bfs_oracle(&edges, 0);
-        for mode in [ExecutorMode::PerJob, ExecutorMode::SharedPool] {
-            let ctx = armed(mode, FaultConfig::corruption(33));
-            assert_eq!(sssp(&ctx, &edges, 0, 4, 200), expect, "{mode:?}");
-            let rec = ctx.metrics().recovery();
-            assert!(rec.batches_checksummed > 0);
-            assert!(
-                rec.corruptions_detected >= 1,
-                "{mode:?}: rot went unnoticed"
-            );
-            assert!(
-                rec.integrity_recomputes >= 1,
-                "{mode:?}: detection must recompute"
-            );
-            assert_eq!(
-                rec.region_restarts, 0,
-                "staged recovery is lineage, not regions"
-            );
-        }
+        let ctx = armed(FaultConfig::corruption(33));
+        assert_eq!(sssp(&ctx, &edges, 0, 4, 200), expect);
+        let rec = ctx.metrics().recovery();
+        assert!(rec.batches_checksummed > 0);
+        assert!(rec.corruptions_detected >= 1, "rot went unnoticed");
+        assert!(rec.integrity_recomputes >= 1, "detection must recompute");
+        assert_eq!(
+            rec.region_restarts, 0,
+            "staged recovery is lineage, not regions"
+        );
     }
 
     #[test]

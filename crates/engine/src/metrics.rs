@@ -131,8 +131,7 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub stream_batches: u64,
     /// Stage tasks a shared-pool worker took from another worker's
-    /// deque (`ExecutorMode::SharedPool` only); `default` keeps
-    /// BENCH_PR6/PR7 artifacts parseable.
+    /// deque; `default` keeps artifacts written before it parseable.
     #[serde(default)]
     pub tasks_stolen: u64,
     /// Microseconds stage tasks spent queued in the shared pool before

@@ -1,23 +1,17 @@
 //! Shared stage-execution seam for both engines.
 //!
-//! Before PR 8 the two engines duplicated their task spawn/join
-//! scaffolding: the staged engine fanned each stage through the rayon
-//! shim (scoped chunk threads per call), the pipelined engine spawned
-//! one scoped thread per partition per operator and re-raised the first
-//! join panic. Both shapes now live here, behind one seam keyed on
-//! [`ExecutorMode`]:
+//! Every finite stage or partition task of either engine runs here, as
+//! one batch on the process-wide work-stealing [`TaskPool`]: the staged
+//! engine's stage waves and the pipelined engine's sink tasks alike. The
+//! pool is long-lived, so a stage costs a batch submission rather than a
+//! round of thread spawns, and concurrent jobs share a fixed core set
+//! instead of oversubscribing the machine. Steal and queue-wait counts
+//! feed [`EngineMetrics`].
 //!
-//! - [`ExecutorMode::PerJob`] preserves each engine's legacy spawning
-//!   byte-for-byte (it is the measured bench baseline);
-//! - [`ExecutorMode::SharedPool`] submits the stage as one batch to the
-//!   process-wide work-stealing [`TaskPool`], so concurrent jobs share
-//!   a fixed core set instead of oversubscribing the machine. Steal and
-//!   queue-wait counts feed [`EngineMetrics`].
-//!
-//! The pipelined engine's exchange producers/consumers are *not* routed
-//! through the pool in either mode: they block on bounded channels, and
-//! parking blocking tasks in a fixed-size pool is a deadlock. Only
-//! finite stage/partition tasks go through this seam.
+//! Threads that block on channels never come through here: the pipelined
+//! exchange's producers and consumers, the vertex-centric workers and the
+//! streaming runtimes keep dedicated threads, because parking a blocking
+//! loop in a fixed-size pool is a deadlock.
 //!
 //! This module also holds the engine side of the cross-job fragment
 //! cache: [`CachedStage`] is the stored shape (sealed batches plus the
@@ -25,13 +19,10 @@
 //! type-erased `flowmark-sched` cache with the PR 7 checksum
 //! re-verification that makes a reuse trustworthy.
 
-use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex};
 
 use flowmark_columnar::checksum::Checksummable;
-use flowmark_core::config::ExecutorMode;
 use flowmark_sched::{FragmentCache, FragmentKey, TaskPool};
-use rayon::prelude::*;
 
 use crate::metrics::EngineMetrics;
 use crate::shuffle::{verify, Sealed, ShuffleBatch};
@@ -51,82 +42,10 @@ pub struct CachedStage<B> {
     pub parts: Vec<Vec<Sealed<B>>>,
 }
 
-/// Run `n` independent stage tasks, returning outputs in index order.
-///
-/// `PerJob` keeps the staged engine's legacy shape (chunked scoped
-/// threads via the rayon shim); `SharedPool` submits one pool batch.
-pub fn run_stage<T, F>(mode: ExecutorMode, metrics: &EngineMetrics, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match mode {
-        ExecutorMode::PerJob => (0..n).into_par_iter().map(f).collect(),
-        ExecutorMode::SharedPool => pool_run(metrics, n, f),
-    }
-}
-
-/// Like [`run_stage`], but each task consumes an owned input item.
-pub fn run_stage_items<I, T, F>(
-    mode: ExecutorMode,
-    metrics: &EngineMetrics,
-    items: Vec<I>,
-    f: F,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    match mode {
-        ExecutorMode::PerJob => items
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(i, item)| f(i, item))
-            .collect(),
-        ExecutorMode::SharedPool => {
-            let inputs: Vec<Mutex<Option<I>>> =
-                items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-            pool_run(metrics, inputs.len(), |i| {
-                let item = take_slot(&inputs[i]);
-                f(i, item)
-            })
-        }
-    }
-}
-
-/// Run `n` tasks with the pipelined engine's legacy shape: one scoped
-/// thread per task (`PerJob`), joining in order and re-raising the
-/// first panic payload intact — or a shared-pool batch (`SharedPool`),
-/// which preserves the same payload contract.
-pub fn run_stage_per_task<T, F>(
-    mode: ExecutorMode,
-    metrics: &EngineMetrics,
-    n: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match mode {
-        ExecutorMode::PerJob => std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || f(i))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect()
-        }),
-        ExecutorMode::SharedPool => pool_run(metrics, n, f),
-    }
-}
-
-/// Submit one batch of `n` index tasks to the global pool and fold its
-/// steal/queue-wait stats into `metrics`.
-fn pool_run<T, F>(metrics: &EngineMetrics, n: usize, f: F) -> Vec<T>
+/// Run `n` independent stage tasks as one pool batch, returning outputs
+/// in index order. The first task panic is re-raised here with its
+/// payload intact once the whole batch has drained.
+pub fn run_stage<T, F>(metrics: &EngineMetrics, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -147,6 +66,17 @@ where
     metrics.add_queue_wait_micros(stats.queue_wait_micros);
     metrics.add_queue_wait_tasks(stats.tasks);
     slots.into_iter().map(|s| take_slot(&s)).collect()
+}
+
+/// Like [`run_stage`], but each task consumes an owned input item.
+pub fn run_stage_items<I, T, F>(metrics: &EngineMetrics, items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(usize, I) -> T + Sync,
+{
+    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    run_stage(metrics, inputs.len(), |i| f(i, take_slot(&inputs[i])))
 }
 
 fn take_slot<T>(slot: &Mutex<Option<T>>) -> T {
@@ -217,52 +147,22 @@ mod tests {
     use flowmark_columnar::StrU64Batch;
 
     #[test]
-    fn run_stage_modes_agree() {
+    fn run_stage_preserves_index_order() {
         let metrics = EngineMetrics::new();
-        let per_job = run_stage(ExecutorMode::PerJob, &metrics, 16, |i| i * i);
-        let pooled = run_stage(ExecutorMode::SharedPool, &metrics, 16, |i| i * i);
-        assert_eq!(per_job, pooled);
-        assert_eq!(metrics.queue_wait_tasks(), 16);
-    }
-
-    #[test]
-    fn run_stage_items_modes_agree() {
-        let metrics = EngineMetrics::new();
+        assert_eq!(
+            run_stage(&metrics, 16, |i| i * i),
+            (0..16).map(|i| i * i).collect::<Vec<_>>()
+        );
         let items: Vec<String> = (0..9).map(|i| format!("x{i}")).collect();
-        let per_job = run_stage_items(ExecutorMode::PerJob, &metrics, items.clone(), |i, s| {
-            format!("{i}:{s}")
-        });
-        let pooled =
-            run_stage_items(ExecutorMode::SharedPool, &metrics, items, |i, s| {
-                format!("{i}:{s}")
-            });
-        assert_eq!(per_job, pooled);
+        assert_eq!(
+            run_stage_items(&metrics, items, |i, s| format!("{i}:{s}")),
+            (0..9).map(|i| format!("{i}:x{i}")).collect::<Vec<_>>()
+        );
+        assert_eq!(metrics.queue_wait_tasks(), 16 + 9);
     }
 
-    #[test]
-    fn per_task_mode_preserves_panic_payloads() {
-        crate::faults::install_quiet_hook();
-        let metrics = EngineMetrics::new();
-        for mode in [ExecutorMode::PerJob, ExecutorMode::SharedPool] {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_stage_per_task(mode, &metrics, 4, |i| {
-                    if i == 2 {
-                        std::panic::panic_any(crate::faults::JobCancelled { at: (7, i) });
-                    }
-                    i
-                })
-            }))
-            .expect_err("panic must propagate");
-            let cancelled = err
-                .downcast_ref::<crate::faults::JobCancelled>()
-                .expect("typed payload intact");
-            assert_eq!(cancelled.at, (7, 2));
-        }
-    }
-
-    /// The staged engine's stage shapes re-raise a task's typed payload in
-    /// both modes too — `PerJob` goes through the vendored rayon stand-in,
-    /// which used to replace it with a `String` on hosts with ≥2 cores.
+    /// Both stage shapes re-raise a task's typed payload intact, so a
+    /// `JobCancelled` reaches the serve layer typed.
     #[test]
     fn staged_stage_shapes_preserve_panic_payloads() {
         crate::faults::install_quiet_hook();
@@ -273,20 +173,71 @@ mod tests {
             }
             i
         };
-        for mode in [ExecutorMode::PerJob, ExecutorMode::SharedPool] {
-            for items in [false, true] {
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if items {
-                        run_stage_items(mode, &metrics, vec![0, 1, 2, 3], |_, i| task(i))
-                    } else {
-                        run_stage(mode, &metrics, 4, task)
-                    }
-                }))
-                .expect_err("panic must propagate");
-                let cancelled = err
-                    .downcast_ref::<crate::faults::JobCancelled>()
-                    .expect("typed payload intact");
-                assert_eq!(cancelled.at, (7, 2));
+        for items in [false, true] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if items {
+                    run_stage_items(&metrics, vec![0, 1, 2, 3], |_, i| task(i))
+                } else {
+                    run_stage(&metrics, 4, task)
+                }
+            }))
+            .expect_err("panic must propagate");
+            let cancelled = err
+                .downcast_ref::<crate::faults::JobCancelled>()
+                .expect("typed payload intact");
+            assert_eq!(cancelled.at, (7, 2));
+        }
+    }
+
+    /// A stage four times wider than the pool, on both engines, clean and
+    /// under chaos. The pipelined sink tasks block on the exchange one of
+    /// them runs, so every pool worker can be parked behind it; the
+    /// exchange's dedicated threads and the helping submitter must still
+    /// finish the job, whatever the core count.
+    #[test]
+    fn a_saturated_pool_cannot_starve_a_job() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        use crate::flink::FlinkEnv;
+        use crate::spark::SparkContext;
+        use flowmark_core::config::EngineConfig;
+        use std::collections::BTreeMap;
+
+        crate::faults::install_quiet_hook();
+        let parts = 4 * TaskPool::global().workers();
+        let config = EngineConfig::with_parallelism(parts);
+        let pairs: Vec<(u32, u64)> = (0..20_000).map(|i| (i % 97, u64::from(i % 5))).collect();
+        let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
+        for &(k, v) in &pairs {
+            *oracle.entry(k).or_default() += v;
+        }
+        let expect: Vec<(u32, u64)> = oracle.into_iter().collect();
+        for chaos in [false, true] {
+            let plan = || {
+                if chaos {
+                    FaultPlan::new(FaultConfig::chaos(5))
+                } else {
+                    FaultPlan::disabled()
+                }
+            };
+            let sc = SparkContext::with_config_and_faults(&config, plan());
+            let mut staged = sc
+                .parallelize(pairs.clone(), parts)
+                .reduce_by_key(|a, b| *a += b)
+                .collect();
+            staged.sort_unstable();
+            assert_eq!(staged, expect, "staged, chaos={chaos}");
+
+            let env = FlinkEnv::with_config_and_faults(&config, plan());
+            let mut pipelined = env
+                .from_collection(pairs.clone())
+                .group_reduce(|a, b| *a += b)
+                .collect();
+            pipelined.sort_unstable();
+            assert_eq!(pipelined, expect, "pipelined, chaos={chaos}");
+
+            for metrics in [sc.metrics(), env.metrics()] {
+                let injected = metrics.recovery().injected_failures;
+                assert_eq!(injected >= 1, chaos, "chaos={chaos}: {injected} faults");
             }
         }
     }

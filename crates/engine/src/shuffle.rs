@@ -69,19 +69,15 @@ pub fn seal<B: Checksummable>(batch: B, seed: u64, metrics: &EngineMetrics) -> S
     (batch.checksum(seed), batch)
 }
 
-/// Seals a whole source collection in parallel, preserving batch order.
-/// Digesting is the cost of admission to the verified path, so the
+/// Seals a whole source collection as one pool batch, preserving batch
+/// order. Digesting is the cost of admission to the verified path, so the
 /// driver-side seal of a large source spreads across cores instead of
 /// serialising in front of the job.
 pub fn seal_all<B>(batches: Vec<B>, seed: u64, metrics: &EngineMetrics) -> Vec<Sealed<B>>
 where
     B: Checksummable + Send,
 {
-    use rayon::prelude::*;
-    batches
-        .into_par_iter()
-        .map(|b| seal(b, seed, metrics))
-        .into_inner_vec()
+    crate::runtime::run_stage_items(metrics, batches, |_, b| seal(b, seed, metrics))
 }
 
 /// Recomputes a sealed batch's digest at read time; `false` means the

@@ -337,7 +337,7 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         let plan = self.ctx.faults();
         let cancel = self.ctx.cancel_token();
         let stage = self.id as u64;
-        runtime::run_stage(self.ctx.config().executor, metrics, self.partitions, |p| {
+        runtime::run_stage(metrics, self.partitions, |p| {
             let part = if plan.active() {
                 run_recoverable(
                     plan,
@@ -545,7 +545,7 @@ where
                 }
             };
             let map_outputs: Vec<_> =
-                runtime::run_stage_items(config.executor, ctx.metrics(), parts, |_, p| {
+                runtime::run_stage_items(ctx.metrics(), parts, |_, p| {
                     let records = p.into_vec();
                     let mut out = if config.combine_enabled {
                         partition_combine(
@@ -575,7 +575,7 @@ where
             let reduce_inputs = exchange(map_outputs);
             let combine = Arc::clone(&combine);
             let out: Vec<Vec<(K, V)>> =
-                runtime::run_stage_items(config.executor, ctx.metrics(), reduce_inputs, |_, records| {
+                runtime::run_stage_items(ctx.metrics(), reduce_inputs, |_, records| {
                     let mut agg: FxHashMap<K, V> = fx_map_with_capacity(records.len());
                     for (k, v) in records {
                         match agg.entry(k) {
@@ -606,9 +606,8 @@ where
         let partitions = partitioner.partitions();
         let shuffled = Arc::new(ShuffleOp::new(partitions, move || {
             let started = Instant::now();
-            let mode = ctx.config().executor;
             let map_outputs: Vec<_> =
-                runtime::run_stage_items(mode, ctx.metrics(), parent.compute_all(), |_, p| {
+                runtime::run_stage_items(ctx.metrics(), parent.compute_all(), |_, p| {
                     partition_records(
                         p.into_vec(),
                         partitioner.as_ref(),
@@ -618,7 +617,7 @@ where
                 });
             let reduce_inputs = exchange(map_outputs);
             let reduce_inputs =
-                runtime::run_stage_items(mode, ctx.metrics(), reduce_inputs, |_, mut part| {
+                runtime::run_stage_items(ctx.metrics(), reduce_inputs, |_, mut part| {
                     part.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                     part
                 });
@@ -640,9 +639,8 @@ where
         let shuffled = Arc::new(ShuffleOp::new(partitions, move || {
             let started = Instant::now();
             let partitioner = HashPartitioner::new(partitions);
-            let mode = ctx.config().executor;
             let lo: Vec<_> =
-                runtime::run_stage_items(mode, ctx.metrics(), left.compute_all(), |_, p| {
+                runtime::run_stage_items(ctx.metrics(), left.compute_all(), |_, p| {
                     partition_records(
                         p.into_vec(),
                         &partitioner,
@@ -651,7 +649,7 @@ where
                     )
                 });
             let ro: Vec<_> =
-                runtime::run_stage_items(mode, ctx.metrics(), right.compute_all(), |_, p| {
+                runtime::run_stage_items(ctx.metrics(), right.compute_all(), |_, p| {
                     partition_records(
                         p.into_vec(),
                         &partitioner,
@@ -663,7 +661,7 @@ where
             let ri = exchange(ro);
             let pairs: Vec<_> = li.into_iter().zip(ri).collect();
             let out: Vec<Vec<(K, (V, W))>> =
-                runtime::run_stage_items(mode, ctx.metrics(), pairs, |_, (lpart, rpart)| {
+                runtime::run_stage_items(ctx.metrics(), pairs, |_, (lpart, rpart)| {
                     let mut table: FxHashMap<K, Vec<V>> = fx_map_with_capacity(lpart.len());
                     for (k, v) in lpart {
                         table.entry(k).or_default().push(v);
@@ -741,7 +739,6 @@ where
             let started = Instant::now();
             let plan = ctx.faults().clone();
             let seed = plan.checksum_seed();
-            let mode = ctx.config().executor;
             // A checksum-verified cache hit replaces the whole
             // map+exchange with the cached sealed reduce inputs; only
             // `finish` still runs. A failed verification invalidated the
@@ -749,7 +746,7 @@ where
             if let Some(handle) = &fragment {
                 if let Some(cached) = runtime::fragment_lookup::<B>(handle, ctx.metrics()) {
                     let out: Vec<Vec<B>> =
-                        runtime::run_stage_items(mode, ctx.metrics(), cached, |_, part| {
+                        runtime::run_stage_items(ctx.metrics(), cached, |_, part| {
                             finish(part.into_iter().map(|(_, b)| b).collect())
                         });
                     ctx.record_span("shuffle:exchangeByIndex(cached)", started);
@@ -784,7 +781,7 @@ where
                 // recompute regenerates all of them anyway.
                 let poisoned: Vec<usize> = {
                     let parts = &reduce_inputs;
-                    runtime::run_stage(mode, ctx.metrics(), parts.len(), |r| {
+                    runtime::run_stage(ctx.metrics(), parts.len(), |r| {
                         let bad = parts[r].iter().filter(|s| !verify(s, seed)).count();
                         (bad > 0).then(|| {
                             ctx.metrics().add_corruptions_detected(bad as u64);
@@ -819,7 +816,7 @@ where
                 runtime::fragment_store(handle, ctx.metrics(), seed, &reduce_inputs);
             }
             let out: Vec<Vec<B>> =
-                runtime::run_stage_items(mode, ctx.metrics(), reduce_inputs, |_, part| {
+                runtime::run_stage_items(ctx.metrics(), reduce_inputs, |_, part| {
                     finish(part.into_iter().map(|(_, b)| b).collect())
                 });
             ctx.record_span("shuffle:exchangeByIndex", started);

@@ -3,13 +3,14 @@
 //! Drives hundreds of in-flight jobs through [`flowmark_serve::JobService`]
 //! twice with identical workloads, seeds and oracles:
 //!
-//! * **baseline** — the pre-PR8 stack: FIFO admission (one unbounded
-//!   tenant), per-job thread spawning ([`ExecutorMode::PerJob`]), no
+//! * **baseline** — FIFO admission (one unbounded tenant) and no
 //!   cross-job reuse;
-//! * **fair** — deficit-round-robin admission across seeded tenants,
-//!   the shared work-stealing core pool ([`ExecutorMode::SharedPool`]),
-//!   and the checksum-verified cross-job fragment cache charged against
-//!   the service's own memory budget.
+//! * **fair** — deficit-round-robin admission across seeded tenants and
+//!   the checksum-verified cross-job fragment cache charged against the
+//!   service's own memory budget.
+//!
+//! Both passes run their stage tasks on the same shared work-stealing
+//! core pool, so the speedup measures admission and reuse alone.
 //!
 //! Every completion is oracle-verified in both passes; the report gates
 //! on throughput (`jobs/sec` speedup), on at least one task steal, and
@@ -20,9 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use flowmark_core::config::{
-    EngineConfig, ExecutorMode, FairShareConfig, Framework, ServiceConfig, TenantSpec,
-};
+use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
 use flowmark_datagen::terasort::{Record, TeraGen};
 use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::flink::FlinkEnv;
@@ -162,7 +161,7 @@ struct PassShared {
 /// One pass of the A/B drill, serialized into `BENCH_PR8.json`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PassStats {
-    /// `"fifo-per-job"` or `"fair-shared-pool"`.
+    /// `"fifo-no-cache"` or `"fair-shared-pool"`.
     pub label: String,
     /// Jobs submitted (and admitted — the queue is sized for all).
     pub jobs: usize,
@@ -220,9 +219,9 @@ pub struct MixReport {
     pub partitions: usize,
     /// Service workers.
     pub workers: usize,
-    /// FIFO + per-job threads + no cache.
+    /// FIFO + no cache.
     pub baseline: PassStats,
-    /// DRR + shared pool + fragment cache.
+    /// DRR + fragment cache.
     pub fair: PassStats,
     /// `fair.jobs_per_sec / baseline.jobs_per_sec`.
     pub speedup: f64,
@@ -432,7 +431,6 @@ fn run_pass(
     scale: MixScale,
     data: &Arc<MixData>,
     fair: Option<FairShareConfig>,
-    executor: ExecutorMode,
 ) -> (PassStats, Option<flowmark_sched::FragmentCacheStats>) {
     let cfg = service_config(seed, scale);
     let multi_tenant = fair.is_some();
@@ -446,8 +444,7 @@ fn run_pass(
     let cache: Option<Arc<FragmentCache>> = multi_tenant
         .then(|| Arc::new(FragmentCache::with_ledger(4 << 30, service.budget())));
 
-    let mut config = EngineConfig::with_parallelism(scale.partitions);
-    config.executor = executor;
+    let config = EngineConfig::with_parallelism(scale.partitions);
     let config_fp = config.fingerprint();
 
     let shared = Arc::new(PassShared::default());
@@ -546,25 +543,17 @@ fn run_pass(
     (stats, cache_stats)
 }
 
-/// Runs the full A/B drill: baseline FIFO/per-job pass, then the
-/// fair-share/shared-pool/cached pass over the identical job list.
+/// Runs the full A/B drill: baseline FIFO/uncached pass, then the
+/// fair-share/cached pass over the identical job list.
 pub fn run_mix(seed: u64, scale: MixScale) -> MixReport {
     let data = Arc::new(MixData::generate(scale));
-    let (baseline, _) = run_pass(
-        "fifo-per-job",
-        seed,
-        scale,
-        &data,
-        None,
-        ExecutorMode::PerJob,
-    );
+    let (baseline, _) = run_pass("fifo-no-cache", seed, scale, &data, None);
     let (fair, cache) = run_pass(
         "fair-shared-pool",
         seed,
         scale,
         &data,
         Some(seeded_tenants(scale)),
-        ExecutorMode::SharedPool,
     );
     let cache_stats = cache.unwrap_or_default();
     let speedup = fair.jobs_per_sec / baseline.jobs_per_sec.max(1e-9);

@@ -2,14 +2,14 @@
 //!
 //! The multi-tenant scheduling substrate shared by both engines.
 //!
-//! Up to PR 7 every job span spawned its own threads: the staged engine
-//! fanned each stage out through the rayon shim (one scoped thread per
-//! chunk, per call), the pipelined engine spawned one scoped thread per
-//! partition per operator. That is faithful to how a single job runs,
-//! but "Performance Characterization of In-Memory Data Analytics on a
-//! Modern Cloud Server" observes that these frameworks leave cores idle
-//! across phases — headroom a *shared* pool with work stealing reclaims
-//! once many small jobs coexist. This crate provides:
+//! Originally every job spawned its own threads for every stage: the
+//! staged engine through a data-parallel shim (one scoped thread per
+//! chunk, per call), the pipelined engine one scoped thread per
+//! partition per operator. "Performance Characterization of In-Memory
+//! Data Analytics on a Modern Cloud Server" observes that these
+//! frameworks leave cores idle across phases — headroom a *shared* pool
+//! with work stealing reclaims once many small jobs coexist. Both engines
+//! now run every finite stage task on that pool. This crate provides:
 //!
 //! - [`TaskPool`] — a fixed set of worker threads with per-worker deques
 //!   and steal-on-idle. Engines submit whole stages as *batches* of

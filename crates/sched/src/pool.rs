@@ -138,9 +138,9 @@ impl TaskPool {
         }
     }
 
-    /// The process-wide shared pool both engines submit stages to when
-    /// `ExecutorMode::SharedPool` is selected. Sized to the machine's
-    /// available parallelism (at least 2 so stealing is meaningful).
+    /// The process-wide shared pool both engines submit every finite
+    /// stage and partition task to. Sized to the machine's available
+    /// parallelism (at least 2 so stealing is meaningful).
     pub fn global() -> &'static TaskPool {
         static POOL: OnceLock<TaskPool> = OnceLock::new();
         POOL.get_or_init(|| {

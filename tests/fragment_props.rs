@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use flowmark_core::config::{EngineConfig, ExecutorMode, Framework};
+use flowmark_core::config::{EngineConfig, Framework};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::{FaultConfig, FaultPlan};
@@ -82,21 +82,14 @@ fn run_once(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A verified hit reproduces the oracle exactly on both engines, in
-    /// both executor modes.
+    /// A verified hit reproduces the oracle exactly on both engines.
     #[test]
     fn fragment_hits_are_oracle_equal(
         lines in arb_lines(),
         parallelism in 1usize..4,
-        shared_pool in any::<bool>(),
     ) {
         let expect = wordcount::oracle(&lines);
-        let mut config = EngineConfig::with_parallelism(parallelism);
-        config.executor = if shared_pool {
-            ExecutorMode::SharedPool
-        } else {
-            ExecutorMode::PerJob
-        };
+        let config = EngineConfig::with_parallelism(parallelism);
         for engine in [Framework::Spark, Framework::Flink] {
             let cache = Arc::new(FragmentCache::new(1 << 30));
             let k = key(engine, &config, 0);
