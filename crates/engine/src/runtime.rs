@@ -146,19 +146,55 @@ mod tests {
     use super::*;
     use flowmark_columnar::StrU64Batch;
 
+    /// The pooled stage agrees with running the same tasks inline, in
+    /// index order.
     #[test]
-    fn run_stage_preserves_index_order() {
+    fn run_stage_modes_agree() {
         let metrics = EngineMetrics::new();
-        assert_eq!(
-            run_stage(&metrics, 16, |i| i * i),
-            (0..16).map(|i| i * i).collect::<Vec<_>>()
-        );
+        let inline: Vec<usize> = (0..16).map(|i| i * i).collect();
+        let pooled = run_stage(&metrics, 16, |i| i * i);
+        assert_eq!(pooled, inline);
+        assert_eq!(metrics.queue_wait_tasks(), 16);
+    }
+
+    #[test]
+    fn run_stage_items_modes_agree() {
+        let metrics = EngineMetrics::new();
         let items: Vec<String> = (0..9).map(|i| format!("x{i}")).collect();
-        assert_eq!(
-            run_stage_items(&metrics, items, |i, s| format!("{i}:{s}")),
-            (0..9).map(|i| format!("{i}:x{i}")).collect::<Vec<_>>()
-        );
-        assert_eq!(metrics.queue_wait_tasks(), 16 + 9);
+        let inline: Vec<String> = items
+            .iter()
+            .enumerate()
+            .map(|(i, s)| format!("{i}:{s}"))
+            .collect();
+        let pooled = run_stage_items(&metrics, items, |i, s| format!("{i}:{s}"));
+        assert_eq!(pooled, inline);
+        assert_eq!(metrics.queue_wait_tasks(), 9);
+    }
+
+    /// The pipelined engine's one-task-per-partition sink shape, wider than
+    /// the pool, with the panic on the last task: the batch still drains
+    /// and the typed payload comes back intact.
+    #[test]
+    fn per_task_mode_preserves_panic_payloads() {
+        crate::faults::install_quiet_hook();
+        let metrics = EngineMetrics::new();
+        let n = 4 * TaskPool::global().workers();
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_stage(&metrics, n, |i| {
+                if i == n - 1 {
+                    std::panic::panic_any(crate::faults::JobCancelled { at: (7, i) });
+                }
+                finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                i
+            })
+        }))
+        .expect_err("panic must propagate");
+        let cancelled = err
+            .downcast_ref::<crate::faults::JobCancelled>()
+            .expect("typed payload intact");
+        assert_eq!(cancelled.at, (7, n - 1));
+        assert_eq!(finished.into_inner(), n - 1, "batch drains before re-raise");
     }
 
     /// Both stage shapes re-raise a task's typed payload intact, so a
