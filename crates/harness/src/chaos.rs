@@ -1,34 +1,23 @@
 //! `repro chaos`: a seeded fault-injection drill over all six workloads on
 //! both engines.
 //!
-//! Every workload/engine cell runs under a fresh deterministic
-//! [`FaultPlan`] that guarantees at least one task kill and at least one
-//! straggler (plus background failure probability), then the output is
-//! checked against the sequential oracle. A cell passes only if recovery —
-//! lineage re-execution and speculation on the staged engine,
+//! Each workload is a [`Cell`] — the same input and oracle the soak, mix
+//! and tuning drills run. Every workload/engine cell runs under a fresh
+//! deterministic [`FaultPlan`] that guarantees at least one task kill and at
+//! least one straggler (plus background failure probability), then the
+//! output is checked against the sequential oracle. A cell passes only if
+//! recovery — lineage re-execution and speculation on the staged engine,
 //! checkpoint restart on the pipelined engine — reproduced the fault-free
 //! answer exactly. The per-cell recovery counters are the paper-facing
 //! artifact: they show *which* mechanism each engine used to survive.
 
-use flowmark_datagen::graph::{RmatGen, RmatParams};
-use flowmark_datagen::points::{Point, PointsConfig, PointsGen};
-use flowmark_datagen::terasort::TeraGen;
-use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::metrics::RecoverySnapshot;
+use flowmark_engine::metrics::{EngineMetrics, RecoverySnapshot};
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::{FaultConfig, FaultPlan};
-use flowmark_workloads::connected::{self, CcVariant};
-use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
+use flowmark_workloads::cell::{Cell, Engine, Sizes, Verdict};
+use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
-
-/// Fixed dataset seeds, shared with the tuning workbench and the soak drill.
-const WC_SEED: u64 = 7;
-const GREP_SEED: u64 = 3;
-const TS_SEED: u64 = 11;
-const KM_SEED: u64 = 5;
-const PR_SEED: u64 = 21;
-const CC_SEED: u64 = 33;
 
 /// Workloads migrated to the columnar batch path. Under `--corruption`
 /// these are the cells whose shuffle / sealed-source bytes get damaged and
@@ -85,16 +74,8 @@ impl ChaosConfig {
 /// Input sizes for one drill.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosScale {
-    /// Word Count / Grep corpus lines.
-    pub lines: usize,
-    /// TeraSort records.
-    pub ts_records: usize,
-    /// K-Means points.
-    pub points: usize,
-    /// Page Rank / Connected Components edges.
-    pub edges: usize,
-    /// Iterations for the iterative workloads.
-    pub rounds: u32,
+    /// Input sizes of the six cells.
+    pub sizes: Sizes,
     /// Engine parallelism.
     pub partitions: usize,
 }
@@ -103,11 +84,13 @@ impl ChaosScale {
     /// CLI scale.
     pub fn full() -> Self {
         Self {
-            lines: 30_000,
-            ts_records: 30_000,
-            points: 20_000,
-            edges: 8_000,
-            rounds: 8,
+            sizes: Sizes {
+                lines: 30_000,
+                ts_records: 30_000,
+                points: 20_000,
+                edges: 8_000,
+                rounds: 8,
+            },
             partitions: 8,
         }
     }
@@ -116,11 +99,13 @@ impl ChaosScale {
     /// for the guaranteed kill and straggler to land.
     pub fn tiny() -> Self {
         Self {
-            lines: 1_500,
-            ts_records: 1_500,
-            points: 2_000,
-            edges: 1_200,
-            rounds: 5,
+            sizes: Sizes {
+                lines: 1_500,
+                ts_records: 1_500,
+                points: 2_000,
+                edges: 1_200,
+                rounds: 5,
+            },
             partitions: 4,
         }
     }
@@ -164,176 +149,37 @@ pub struct ChaosReport {
     pub cells: Vec<ChaosCell>,
 }
 
-fn cell(
-    workload: &str,
+fn drilled(
+    workload: Workload,
     engine: &str,
-    verified: bool,
-    metrics: &flowmark_engine::metrics::EngineMetrics,
+    verdict: Verdict,
+    metrics: &EngineMetrics,
 ) -> ChaosCell {
     ChaosCell {
-        workload: workload.into(),
+        workload: workload.name().into(),
         engine: engine.into(),
-        verified,
+        verified: verdict.is_verified(),
         batches_processed: metrics.snapshot().batches_processed,
         recovery: metrics.recovery(),
     }
 }
 
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * (1.0 + b.abs())
-}
-
-/// Runs the drill: each workload once per engine under a fresh fault plan,
-/// every cell verified against the sequential oracle.
+/// Runs the drill: each workload's [`Cell`] once per engine under a fresh
+/// fault plan, every cell verified against the sequential oracle.
 pub fn run_chaos(config: ChaosConfig, scale: ChaosScale) -> ChaosReport {
     let parts = scale.partitions;
     let mut cells = Vec::new();
-    let mut next_cell = 0u64;
-    // `batch` marks cells on the columnar batch path — the only ones the
-    // corruption preset can reach (the others have nothing sealed to rot).
-    let mut plan = |batch: bool| {
-        let p = config.plan(next_cell, batch);
-        next_cell += 1;
-        p
-    };
-
-    // --- Word Count -------------------------------------------------------
-    let wc_lines = TextGen::new(TextGenConfig::default(), WC_SEED).lines(scale.lines);
-    let wc_expect = wordcount::oracle(&wc_lines);
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(true));
-        let out = wordcount::run_spark(&sc, wc_lines.clone(), parts);
-        cells.push(cell("wordcount", "spark", out == wc_expect, sc.metrics()));
-    }
-    {
-        let env = FlinkEnv::with_faults(parts, plan(true));
-        let out = wordcount::run_flink(&env, wc_lines.clone());
-        cells.push(cell("wordcount", "flink", out == wc_expect, env.metrics()));
-    }
-
-    // --- Grep -------------------------------------------------------------
-    let grep_config = TextGenConfig {
-        needle_selectivity: 0.05,
-        ..TextGenConfig::default()
-    };
-    let needle = grep_config.needle.clone();
-    let grep_lines = TextGen::new(grep_config, GREP_SEED).lines(scale.lines);
-    let grep_expect = grep::oracle(&grep_lines, &needle);
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(true));
-        let out = grep::run_spark(&sc, grep_lines.clone(), &needle, parts);
-        cells.push(cell("grep", "spark", out == grep_expect, sc.metrics()));
-    }
-    {
-        let env = FlinkEnv::with_faults(parts, plan(true));
-        let out = grep::run_flink(&env, grep_lines.clone(), &needle);
-        cells.push(cell("grep", "flink", out == grep_expect, env.metrics()));
-    }
-
-    // --- TeraSort ---------------------------------------------------------
-    let ts_records = TeraGen::new(TS_SEED).records(scale.ts_records);
-    let ts_expect: Vec<Vec<u8>> = terasort::oracle(ts_records.clone())
-        .iter()
-        .map(|r| r.key().to_vec())
-        .collect();
-    let ts_ok = |out: &[Vec<flowmark_datagen::terasort::Record>]| {
-        terasort::validate_output(ts_records.len(), out).is_ok()
-            && out
-                .iter()
-                .flatten()
-                .map(|r| r.key().to_vec())
-                .eq(ts_expect.iter().cloned())
-    };
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(true));
-        let out = terasort::run_spark(&sc, ts_records.clone(), parts);
-        cells.push(cell("terasort", "spark", ts_ok(&out), sc.metrics()));
-    }
-    {
-        let env = FlinkEnv::with_faults(parts, plan(true));
-        let out = terasort::run_flink(&env, ts_records.clone(), parts);
-        cells.push(cell("terasort", "flink", ts_ok(&out), env.metrics()));
-    }
-
-    // --- K-Means ----------------------------------------------------------
-    let mut km_gen = PointsGen::new(
-        PointsConfig {
-            clusters: 4,
-            box_half_width: 100.0,
-            sigma: 3.0,
-        },
-        KM_SEED,
-    );
-    let km_init: Vec<Point> = km_gen
-        .true_centers()
-        .iter()
-        .map(|c| Point {
-            x: c.x + 10.0,
-            y: c.y - 8.0,
-        })
-        .collect();
-    let km_points = km_gen.points(scale.points);
-    let km_expect = kmeans::oracle(&km_points, km_init.clone(), scale.rounds);
-    let km_ok = |out: &[Point]| {
-        out.len() == km_expect.len()
-            && out
-                .iter()
-                .zip(&km_expect)
-                .all(|(p, q)| close(p.x, q.x) && close(p.y, q.y))
-    };
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(false));
-        let out = kmeans::run_spark(&sc, km_points.clone(), km_init.clone(), scale.rounds, parts);
-        cells.push(cell("kmeans", "spark", km_ok(&out), sc.metrics()));
-    }
-    {
-        let env = FlinkEnv::with_faults(parts, plan(false));
-        let out = kmeans::run_flink(&env, km_points.clone(), km_init.clone(), scale.rounds);
-        cells.push(cell("kmeans", "flink", km_ok(&out), env.metrics()));
-    }
-
-    // --- Page Rank --------------------------------------------------------
-    let mut pr_edges = RmatGen::new(9, RmatParams::default(), PR_SEED).edges(scale.edges);
-    pr_edges.dedup();
-    let pr_expect = pagerank::oracle(&pr_edges, scale.rounds);
-    let pr_ok = |out: &std::collections::HashMap<u64, f64>| {
-        out.len() == pr_expect.len()
-            && out
-                .iter()
-                .all(|(v, r)| close(*r, pr_expect.get(v).copied().unwrap_or(f64::NAN)))
-    };
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(false));
-        let out = pagerank::run_spark(&sc, &pr_edges, scale.rounds, parts);
-        cells.push(cell("pagerank", "spark", pr_ok(&out), sc.metrics()));
-    }
-    {
-        let env = FlinkEnv::with_faults(parts, plan(false));
-        let verified = match pagerank::run_flink(&env, &pr_edges, scale.rounds, parts) {
-            Ok(out) => pr_ok(&out),
-            Err(_) => false,
-        };
-        cells.push(cell("pagerank", "flink", verified, env.metrics()));
-    }
-
-    // --- Connected Components ---------------------------------------------
-    let cc_edges = RmatGen::new(8, RmatParams::default(), CC_SEED).edges(scale.edges);
-    let cc_expect = connected::oracle(&cc_edges);
-    {
-        let sc = SparkContext::with_faults(parts, 256 << 20, plan(false));
-        let out = connected::run_spark(&sc, &cc_edges, 200, parts);
-        cells.push(cell("connected", "spark", out == cc_expect, sc.metrics()));
-    }
-    {
-        // Delta variant: exercises the vertex-centric solution-set
-        // snapshot/restore path.
-        let env = FlinkEnv::with_faults(parts, plan(false));
-        let verified =
-            match connected::run_flink(&env, &cc_edges, 200, parts, CcVariant::Delta, None) {
-                Ok(out) => out == cc_expect,
-                Err(_) => false,
-            };
-        cells.push(cell("connected", "flink", verified, env.metrics()));
+    for (i, workload) in (0u64..).zip(Workload::ALL) {
+        let cell = Cell::generate(workload, &scale.sizes);
+        // Only cells on the columnar batch path have sealed bytes for the
+        // corruption preset to rot.
+        let batch = BATCH_MIGRATED.contains(&workload.name());
+        let sc = SparkContext::with_faults(parts, 256 << 20, config.plan(2 * i, batch));
+        let verdict = cell.run(Engine::Spark(&sc));
+        cells.push(drilled(workload, "spark", verdict, sc.metrics()));
+        let env = FlinkEnv::with_faults(parts, config.plan(2 * i + 1, batch));
+        let verdict = cell.run(Engine::Flink(&env));
+        cells.push(drilled(workload, "flink", verdict, env.metrics()));
     }
 
     ChaosReport {

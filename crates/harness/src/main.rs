@@ -150,16 +150,14 @@ fn run() -> Result<(), HarnessError> {
         }
         "tune" => {
             use flowmark_harness::tune::{self, TuneOptions};
-            use flowmark_tune::TuneScale;
             let rest: Vec<String> = std::env::args().skip(2).collect();
             let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
-            let smoke = rest.iter().any(|a| a == "--smoke");
-            let (opts, scale) = if smoke {
-                (TuneOptions::smoke(seed), TuneScale::smoke())
+            let opts = if rest.iter().any(|a| a == "--smoke") {
+                TuneOptions::smoke(seed)
             } else {
-                (TuneOptions::full(seed), TuneScale::full())
+                TuneOptions::full(seed)
             };
-            let report = tune::run_tune(&opts, scale);
+            let report = tune::run_tune(&opts);
             print!("{}", tune::render(&report));
             let out_path = flag_value(&rest, "--out").unwrap_or_else(|| "BENCH_PR3.json".into());
             let json = serde_json::to_string_pretty(&report)?;

@@ -1,7 +1,8 @@
 //! `repro soak --mix-concurrent N`: the multi-tenant scheduling bench.
 //!
 //! Drives hundreds of in-flight jobs through [`flowmark_serve::JobService`]
-//! twice with identical workloads, seeds and oracles:
+//! twice with identical workloads — the Word Count, Grep and TeraSort
+//! [`Cell`]s the chaos drill runs, with their seeds and oracles:
 //!
 //! * **baseline** — FIFO admission (one unbounded tenant) and no
 //!   cross-job reuse;
@@ -22,25 +23,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
-use flowmark_datagen::terasort::{Record, TeraGen};
-use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::spark::SparkContext;
 use flowmark_engine::FaultPlan;
 use flowmark_sched::{FragmentCache, FragmentKey};
 use flowmark_serve::{HealthSnapshot, JobRequest, JobService, Resolution};
-use flowmark_workloads::{grep, terasort, wordcount};
+use flowmark_workloads::cell::{Cell, Engine, Sizes};
+use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
-
-/// Dataset seeds, mirroring the soak drill.
-const WC_SEED: u64 = 7;
-const GREP_SEED: u64 = 3;
-const TS_SEED: u64 = 11;
 
 /// The three mixed workloads. Word Count and TeraSort route through the
 /// batch exchange and are fragment-cacheable; Grep is pure scheduling
 /// load with nothing to cache.
-const WORKLOADS: [&str; 3] = ["wordcount", "grep", "terasort"];
+const WORKLOADS: [Workload; 3] = [Workload::WordCount, Workload::Grep, Workload::TeraSort];
 
 /// FNV-1a, used as the plan-prefix fingerprint of a fragment key.
 fn fnv64(s: &str) -> u64 {
@@ -69,10 +64,9 @@ pub struct MixScale {
     pub jobs: usize,
     /// Seeded tenants in the fair pass.
     pub tenants: u32,
-    /// Word Count / Grep corpus lines.
-    pub lines: usize,
-    /// TeraSort records.
-    pub ts_records: usize,
+    /// Input sizes (Word Count / Grep lines and TeraSort records are
+    /// used).
+    pub sizes: Sizes,
     /// Engine parallelism inside each job.
     pub partitions: usize,
     /// Service worker threads draining the queue.
@@ -85,8 +79,13 @@ impl MixScale {
         Self {
             jobs,
             tenants: 4,
-            lines: 8_000,
-            ts_records: 8_000,
+            sizes: Sizes {
+                lines: 8_000,
+                ts_records: 8_000,
+                points: 0,
+                edges: 0,
+                rounds: 0,
+            },
             partitions: 4,
             workers: 8,
         }
@@ -98,53 +97,15 @@ impl MixScale {
         Self {
             jobs: 24,
             tenants: 4,
-            lines: 600,
-            ts_records: 600,
+            sizes: Sizes {
+                lines: 600,
+                ts_records: 600,
+                points: 0,
+                edges: 0,
+                rounds: 0,
+            },
             partitions: 2,
             workers: 4,
-        }
-    }
-}
-
-/// Datasets and oracles shared by every job (generated once; job bodies
-/// clone out of the `Arc`).
-struct MixData {
-    wc_lines: Vec<String>,
-    wc_expect: std::collections::HashMap<String, u64>,
-    needle: String,
-    grep_lines: Vec<String>,
-    grep_expect: u64,
-    ts_records: Vec<Record>,
-    ts_expect: Vec<Vec<u8>>,
-}
-
-impl MixData {
-    fn generate(scale: MixScale) -> Self {
-        let wc_lines = TextGen::new(TextGenConfig::default(), WC_SEED).lines(scale.lines);
-        let wc_expect = wordcount::oracle(&wc_lines);
-
-        let grep_config = TextGenConfig {
-            needle_selectivity: 0.05,
-            ..TextGenConfig::default()
-        };
-        let needle = grep_config.needle.clone();
-        let grep_lines = TextGen::new(grep_config, GREP_SEED).lines(scale.lines);
-        let grep_expect = grep::oracle(&grep_lines, &needle);
-
-        let ts_records = TeraGen::new(TS_SEED).records(scale.ts_records);
-        let ts_expect: Vec<Vec<u8>> = terasort::oracle(ts_records.clone())
-            .iter()
-            .map(|r| r.key().to_vec())
-            .collect();
-
-        Self {
-            wc_lines,
-            wc_expect,
-            needle,
-            grep_lines,
-            grep_expect,
-            ts_records,
-            ts_expect,
         }
     }
 }
@@ -333,64 +294,32 @@ fn service_config(seed: u64, scale: MixScale) -> ServiceConfig {
 
 /// Builds one job body: run the cell, verify against the oracle, account
 /// metrics and latency into the pass's shared counters.
-#[allow(clippy::too_many_arguments)]
 fn job_body(
-    workload: usize,
+    cell: &Arc<Cell>,
     engine: Framework,
     config: EngineConfig,
-    data: &Arc<MixData>,
     cache: Option<(Arc<FragmentCache>, FragmentKey)>,
     shared: &Arc<PassShared>,
-    parts: usize,
     submitted: Instant,
 ) -> flowmark_serve::JobFn {
-    let data = Arc::clone(data);
+    let cell = Arc::clone(cell);
     let shared = Arc::clone(shared);
     Arc::new(move |_, cancel| {
         let plan = FaultPlan::disabled();
-        let name = WORKLOADS[workload];
-        let (ok, snapshot) = match engine {
+        let (verdict, snapshot) = match engine {
             Framework::Spark => {
                 let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
                 if let Some((cache, key)) = &cache {
                     sc.register_fragment(Arc::clone(cache), *key);
                 }
-                let ok = match workload {
-                    0 => wordcount::run_spark(&sc, data.wc_lines.clone(), parts) == data.wc_expect,
-                    1 => {
-                        grep::run_spark(&sc, data.grep_lines.clone(), &data.needle, parts)
-                            == data.grep_expect
-                    }
-                    _ => {
-                        let out = terasort::run_spark(&sc, data.ts_records.clone(), parts);
-                        out.iter()
-                            .flatten()
-                            .map(|r| r.key().to_vec())
-                            .eq(data.ts_expect.iter().cloned())
-                    }
-                };
-                (ok, sc.metrics().snapshot())
+                (cell.run(Engine::Spark(&sc)), sc.metrics().snapshot())
             }
             Framework::Flink => {
                 let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
                 if let Some((cache, key)) = &cache {
                     env.register_fragment(Arc::clone(cache), *key);
                 }
-                let ok = match workload {
-                    0 => wordcount::run_flink(&env, data.wc_lines.clone()) == data.wc_expect,
-                    1 => {
-                        grep::run_flink(&env, data.grep_lines.clone(), &data.needle)
-                            == data.grep_expect
-                    }
-                    _ => {
-                        let out = terasort::run_flink(&env, data.ts_records.clone(), parts);
-                        out.iter()
-                            .flatten()
-                            .map(|r| r.key().to_vec())
-                            .eq(data.ts_expect.iter().cloned())
-                    }
-                };
-                (ok, env.metrics().snapshot())
+                (cell.run(Engine::Flink(&env)), env.metrics().snapshot())
             }
         };
         shared
@@ -405,11 +334,7 @@ fn job_body(
         if let Ok(mut lat) = shared.latencies_ms.lock() {
             lat.push(submitted.elapsed().as_secs_f64() * 1e3);
         }
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("{name}/{engine:?} diverged from oracle"))
-        }
+        verdict.into_result(&format!("{}/{engine:?}", cell.workload().name()))
     })
 }
 
@@ -429,7 +354,7 @@ fn run_pass(
     label: &str,
     seed: u64,
     scale: MixScale,
-    data: &Arc<MixData>,
+    cells: &[Arc<Cell>],
     fair: Option<FairShareConfig>,
 ) -> (PassStats, Option<flowmark_sched::FragmentCacheStats>) {
     let cfg = service_config(seed, scale);
@@ -456,38 +381,25 @@ fn run_pass(
         } else {
             Framework::Flink
         };
-        let workload = (i / 2) % WORKLOADS.len();
+        let cell = &cells[(i / 2) % cells.len()];
+        let workload = cell.workload();
         // Word Count and TeraSort repeat identical (plan, input, config)
         // jobs across tenants, so every job after the first per
         // (workload, engine) is a fragment-cache hit candidate.
-        let job_cache = cache.as_ref().and_then(|c| {
-            let (name, input) = match workload {
-                0 => ("wordcount", WC_SEED),
-                2 => ("terasort", TS_SEED),
-                _ => return None,
-            };
-            Some((
-                Arc::clone(c),
-                FragmentKey {
-                    plan: fnv64(name) ^ engine_tag(engine),
-                    input,
+        let job_cache = cache
+            .as_ref()
+            .filter(|_| matches!(workload, Workload::WordCount | Workload::TeraSort))
+            .map(|c| {
+                let key = FragmentKey {
+                    plan: fnv64(workload.name()) ^ engine_tag(engine),
+                    input: cell.seed(),
                     config: config_fp,
                     faults: 0,
-                },
-            ))
-        });
-        let submitted = Instant::now();
-        let body = job_body(
-            workload,
-            engine,
-            config,
-            data,
-            job_cache,
-            &shared,
-            scale.partitions,
-            submitted,
-        );
-        let name = format!("{label}/{}/{engine:?}/{i}", WORKLOADS[workload]);
+                };
+                (Arc::clone(c), key)
+            });
+        let body = job_body(cell, engine, config, job_cache, &shared, Instant::now());
+        let name = format!("{label}/{}/{engine:?}/{i}", workload.name());
         let tenant = if multi_tenant {
             i as u32 % scale.tenants
         } else {
@@ -546,13 +458,16 @@ fn run_pass(
 /// Runs the full A/B drill: baseline FIFO/uncached pass, then the
 /// fair-share/cached pass over the identical job list.
 pub fn run_mix(seed: u64, scale: MixScale) -> MixReport {
-    let data = Arc::new(MixData::generate(scale));
-    let (baseline, _) = run_pass("fifo-no-cache", seed, scale, &data, None);
+    let cells: Vec<Arc<Cell>> = WORKLOADS
+        .iter()
+        .map(|&w| Arc::new(Cell::generate(w, &scale.sizes)))
+        .collect();
+    let (baseline, _) = run_pass("fifo-no-cache", seed, scale, &cells, None);
     let (fair, cache) = run_pass(
         "fair-shared-pool",
         seed,
         scale,
-        &data,
+        &cells,
         Some(seeded_tenants(scale)),
     );
     let cache_stats = cache.unwrap_or_default();

@@ -5,7 +5,9 @@
 //! admission control, deadlines, explicit cancellation, retry budgets and
 //! per-engine circuit breakers — all while the jobs themselves run the six
 //! paper workloads on both engines under `FaultConfig::chaos` injection
-//! and verify every completion against the sequential oracle.
+//! and verify every completion against the sequential oracle. Each
+//! workload is the same [`Cell`] the chaos drill runs, passed the job's
+//! cancel token.
 //!
 //! The drill is phased so each supervision mechanism is *guaranteed* to
 //! fire at least once for any seed, then a seeded randomized mix of
@@ -18,11 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
-use flowmark_datagen::graph::{RmatGen, RmatParams};
 use flowmark_datagen::nexmark::{generate, NexmarkConfig};
-use flowmark_datagen::points::{Point, PointsConfig, PointsGen};
-use flowmark_datagen::terasort::{Record, TeraGen};
-use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::faults::check_cancelled;
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::spark::SparkContext;
@@ -33,28 +31,10 @@ use flowmark_engine::{CancelToken, EngineMetrics, FaultConfig, FaultPlan};
 use flowmark_serve::{
     BreakerState, HealthSnapshot, JobRequest, JobService, LivenessSlo, Rejected, Resolution,
 };
-use flowmark_workloads::connected::{self, CcVariant};
+use flowmark_workloads::cell::{Cell, Engine, Sizes};
 use flowmark_workloads::stream::{canonical, nexmark_source, q6_operator, q6_oracle, route_nexmark};
-use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
+use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
-
-/// Fixed dataset seeds, mirroring the chaos drill.
-const WC_SEED: u64 = 7;
-const GREP_SEED: u64 = 3;
-const TS_SEED: u64 = 11;
-const KM_SEED: u64 = 5;
-const PR_SEED: u64 = 21;
-const CC_SEED: u64 = 33;
-
-/// The six workload ids, in mix-phase selection order.
-const WORKLOADS: [&str; 6] = [
-    "wordcount",
-    "grep",
-    "terasort",
-    "kmeans",
-    "pagerank",
-    "connected",
-];
 
 /// splitmix64, the workspace-standard deterministic bit mixer.
 fn splitmix(mut x: u64) -> u64 {
@@ -62,10 +42,6 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * (1.0 + b.abs())
 }
 
 /// Soak knobs, settable from the `repro soak` CLI.
@@ -106,16 +82,8 @@ impl SoakConfig {
 /// Input sizes and mix length for one soak.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakScale {
-    /// Word Count / Grep corpus lines.
-    pub lines: usize,
-    /// TeraSort records.
-    pub ts_records: usize,
-    /// K-Means points.
-    pub points: usize,
-    /// Page Rank / Connected Components edges.
-    pub edges: usize,
-    /// Iterations for the iterative workloads.
-    pub rounds: u32,
+    /// Input sizes of the six cells.
+    pub sizes: Sizes,
     /// Engine parallelism.
     pub partitions: usize,
     /// Mixed-phase jobs (each a seeded workload × engine cell under
@@ -127,11 +95,13 @@ impl SoakScale {
     /// CLI scale.
     pub fn full() -> Self {
         Self {
-            lines: 20_000,
-            ts_records: 20_000,
-            points: 12_000,
-            edges: 6_000,
-            rounds: 6,
+            sizes: Sizes {
+                lines: 20_000,
+                ts_records: 20_000,
+                points: 12_000,
+                edges: 6_000,
+                rounds: 6,
+            },
             partitions: 8,
             mix_jobs: 36,
         }
@@ -141,11 +111,13 @@ impl SoakScale {
     /// cell for the guaranteed kill and straggler to land.
     pub fn smoke() -> Self {
         Self {
-            lines: 1_200,
-            ts_records: 1_200,
-            points: 1_500,
-            edges: 1_000,
-            rounds: 4,
+            sizes: Sizes {
+                lines: 1_200,
+                ts_records: 1_200,
+                points: 1_500,
+                edges: 1_000,
+                rounds: 4,
+            },
             partitions: 4,
             mix_jobs: 12,
         }
@@ -279,226 +251,28 @@ impl SoakReport {
     }
 }
 
-/// Datasets and oracles shared by every mix-phase job (generated once;
-/// attempts clone out of the `Arc`).
-struct SoakData {
-    wc_lines: Vec<String>,
-    wc_expect: std::collections::HashMap<String, u64>,
-    needle: String,
-    grep_lines: Vec<String>,
-    grep_expect: u64,
-    ts_records: Vec<Record>,
-    ts_expect: Vec<Vec<u8>>,
-    km_points: Vec<Point>,
-    km_init: Vec<Point>,
-    km_expect: Vec<Point>,
-    pr_edges: Vec<(u64, u64)>,
-    pr_expect: std::collections::HashMap<u64, f64>,
-    cc_edges: Vec<(u64, u64)>,
-    cc_expect: std::collections::HashMap<u64, u64>,
-    rounds: u32,
-}
-
-impl SoakData {
-    fn generate(scale: SoakScale) -> Self {
-        let wc_lines = TextGen::new(TextGenConfig::default(), WC_SEED).lines(scale.lines);
-        let wc_expect = wordcount::oracle(&wc_lines);
-
-        let grep_config = TextGenConfig {
-            needle_selectivity: 0.05,
-            ..TextGenConfig::default()
-        };
-        let needle = grep_config.needle.clone();
-        let grep_lines = TextGen::new(grep_config, GREP_SEED).lines(scale.lines);
-        let grep_expect = grep::oracle(&grep_lines, &needle);
-
-        let ts_records = TeraGen::new(TS_SEED).records(scale.ts_records);
-        let ts_expect: Vec<Vec<u8>> = terasort::oracle(ts_records.clone())
-            .iter()
-            .map(|r| r.key().to_vec())
-            .collect();
-
-        let mut km_gen = PointsGen::new(
-            PointsConfig {
-                clusters: 4,
-                box_half_width: 100.0,
-                sigma: 3.0,
-            },
-            KM_SEED,
-        );
-        let km_init: Vec<Point> = km_gen
-            .true_centers()
-            .iter()
-            .map(|c| Point {
-                x: c.x + 10.0,
-                y: c.y - 8.0,
-            })
-            .collect();
-        let km_points = km_gen.points(scale.points);
-        let km_expect = kmeans::oracle(&km_points, km_init.clone(), scale.rounds);
-
-        let mut pr_edges = RmatGen::new(9, RmatParams::default(), PR_SEED).edges(scale.edges);
-        pr_edges.dedup();
-        let pr_expect = pagerank::oracle(&pr_edges, scale.rounds);
-
-        let cc_edges = RmatGen::new(8, RmatParams::default(), CC_SEED).edges(scale.edges);
-        let cc_expect = connected::oracle(&cc_edges);
-
-        Self {
-            wc_lines,
-            wc_expect,
-            needle,
-            grep_lines,
-            grep_expect,
-            ts_records,
-            ts_expect,
-            km_points,
-            km_init,
-            km_expect,
-            pr_edges,
-            pr_expect,
-            cc_edges,
-            cc_expect,
-            rounds: scale.rounds,
+/// Runs `cell` on one engine under the given fault plan and the job's
+/// cancel token. `Err` means a divergence (the message says "diverged") or
+/// an engine-fatal error (the message carries its text).
+fn run_cell(
+    cell: &Cell,
+    engine: Framework,
+    parts: usize,
+    plan: FaultPlan,
+    cancel: &CancelToken,
+) -> Result<(), String> {
+    let config = EngineConfig::with_parallelism(parts);
+    let verdict = match engine {
+        Framework::Spark => {
+            let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
+            cell.run(Engine::Spark(&sc))
         }
-    }
-
-    /// Runs one workload on one engine under the given fault plan and the
-    /// job's cancel token, verifying against the oracle. `Err` means a
-    /// divergence (the message says so) or an engine-fatal error.
-    fn run_cell(
-        &self,
-        workload: usize,
-        engine: Framework,
-        parts: usize,
-        plan: FaultPlan,
-        cancel: &CancelToken,
-    ) -> Result<(), String> {
-        let config = EngineConfig::with_parallelism(parts);
-        let name = WORKLOADS[workload % WORKLOADS.len()];
-        let diverged = || Err(format!("{name}/{engine:?} diverged from oracle"));
-        let ok = match (workload % WORKLOADS.len(), engine) {
-            (0, Framework::Spark) => {
-                let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                wordcount::run_spark(&sc, self.wc_lines.clone(), parts) == self.wc_expect
-            }
-            (0, Framework::Flink) => {
-                let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                wordcount::run_flink(&env, self.wc_lines.clone()) == self.wc_expect
-            }
-            (1, Framework::Spark) => {
-                let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                grep::run_spark(&sc, self.grep_lines.clone(), &self.needle, parts)
-                    == self.grep_expect
-            }
-            (1, Framework::Flink) => {
-                let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                grep::run_flink(&env, self.grep_lines.clone(), &self.needle) == self.grep_expect
-            }
-            (2, fw) => {
-                let out = match fw {
-                    Framework::Spark => {
-                        let sc =
-                            SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                        terasort::run_spark(&sc, self.ts_records.clone(), parts)
-                    }
-                    Framework::Flink => {
-                        let env =
-                            FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                        terasort::run_flink(&env, self.ts_records.clone(), parts)
-                    }
-                };
-                terasort::validate_output(self.ts_records.len(), &out).is_ok()
-                    && out
-                        .iter()
-                        .flatten()
-                        .map(|r| r.key().to_vec())
-                        .eq(self.ts_expect.iter().cloned())
-            }
-            (3, fw) => {
-                let out = match fw {
-                    Framework::Spark => {
-                        let sc =
-                            SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                        kmeans::run_spark(
-                            &sc,
-                            self.km_points.clone(),
-                            self.km_init.clone(),
-                            self.rounds,
-                            parts,
-                        )
-                    }
-                    Framework::Flink => {
-                        let env =
-                            FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                        kmeans::run_flink(
-                            &env,
-                            self.km_points.clone(),
-                            self.km_init.clone(),
-                            self.rounds,
-                        )
-                    }
-                };
-                out.len() == self.km_expect.len()
-                    && out
-                        .iter()
-                        .zip(&self.km_expect)
-                        .all(|(p, q)| close(p.x, q.x) && close(p.y, q.y))
-            }
-            (4, fw) => {
-                let out = match fw {
-                    Framework::Spark => {
-                        let sc =
-                            SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                        pagerank::run_spark(&sc, &self.pr_edges, self.rounds, parts)
-                    }
-                    Framework::Flink => {
-                        let env =
-                            FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                        match pagerank::run_flink(&env, &self.pr_edges, self.rounds, parts) {
-                            Ok(out) => out,
-                            Err(_) => return Err(format!("{name}/flink: engine-fatal error")),
-                        }
-                    }
-                };
-                out.len() == self.pr_expect.len()
-                    && out
-                        .iter()
-                        .all(|(v, r)| close(*r, self.pr_expect.get(v).copied().unwrap_or(f64::NAN)))
-            }
-            (5, fw) => {
-                let out = match fw {
-                    Framework::Spark => {
-                        let sc =
-                            SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                        connected::run_spark(&sc, &self.cc_edges, 200, parts)
-                    }
-                    Framework::Flink => {
-                        let env =
-                            FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                        match connected::run_flink(
-                            &env,
-                            &self.cc_edges,
-                            200,
-                            parts,
-                            CcVariant::Delta,
-                            None,
-                        ) {
-                            Ok(out) => out,
-                            Err(_) => return Err(format!("{name}/flink: engine-fatal error")),
-                        }
-                    }
-                };
-                out == self.cc_expect
-            }
-            _ => unreachable!("workload index is taken modulo 6"),
-        };
-        if ok {
-            Ok(())
-        } else {
-            diverged()
+        Framework::Flink => {
+            let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
+            cell.run(Engine::Flink(&env))
         }
-    }
+    };
+    verdict.into_result(&format!("{}/{engine:?}", cell.workload().name()))
 }
 
 /// A job body that sleeps cooperatively until cancelled (by deadline or
@@ -595,7 +369,11 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
             quantum_bytes: FairShareConfig::DEFAULT_QUANTUM_BYTES,
         },
     );
-    let data = Arc::new(SoakData::generate(scale));
+    // Generated once; every mix-phase attempt clones its input out.
+    let cells: Vec<Arc<Cell>> = Workload::ALL
+        .iter()
+        .map(|&w| Arc::new(Cell::generate(w, &scale.sizes)))
+        .collect();
     let parts = scale.partitions;
 
     let mut report = SoakReport {
@@ -907,9 +685,9 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
             }
             continue;
         }
-        let cell_data = Arc::clone(&data);
+        let cell = Arc::clone(&cells[workload]);
         let job = JobRequest::new(
-            format!("mix-{i}-{}", WORKLOADS[workload]),
+            format!("mix-{i}-{}", cell.workload().name()),
             engine,
             EngineConfig::with_parallelism(parts),
             Arc::new(move |attempt, cancel: &CancelToken| {
@@ -919,7 +697,7 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
                 } else {
                     FaultConfig::chaos(seed)
                 });
-                cell_data.run_cell(workload, engine, parts, plan, cancel)
+                run_cell(&cell, engine, parts, plan, cancel)
             }),
         );
         if let Some(h) = submit(&mut report, &service, job) {
@@ -933,7 +711,7 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
     // but the mechanism must fire for *every* seed, so one job fails its
     // first whole attempt by construction and verifies on the second.
     {
-        let cell_data = Arc::clone(&data);
+        let cell = Arc::clone(&cells[0]);
         let job = JobRequest::new(
             "retry-then-success",
             Framework::Spark,
@@ -942,7 +720,13 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
                 if attempt == 0 {
                     return Err("first attempt poisoned (injected)".into());
                 }
-                cell_data.run_cell(0, Framework::Spark, parts, FaultPlan::disabled(), cancel)
+                run_cell(
+                    &cell,
+                    Framework::Spark,
+                    parts,
+                    FaultPlan::disabled(),
+                    cancel,
+                )
             }),
         );
         if let Some(h) = submit(&mut report, &service, job) {

@@ -11,7 +11,9 @@
 
 use flowmark_core::config::{EngineConfig, Framework, PartitionerChoice};
 use flowmark_tune::search::best_of;
-use flowmark_tune::{Budget, ParamSpace, Strategy, Trial, TuneScale, Tuner, Workbench, WorkloadId};
+use flowmark_tune::{Budget, ParamSpace, Strategy, Trial, Tuner, Workbench};
+use flowmark_workloads::cell::Sizes;
+use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
 /// Tuning-run knobs, settable from the `repro tune` CLI.
@@ -45,6 +47,28 @@ impl TuneOptions {
             smoke: false,
             guided_trials: 10,
             random_samples: 6,
+        }
+    }
+
+    /// Input sizes: small enough at smoke scale that a dozen trials per
+    /// cell stay fast.
+    pub fn sizes(&self) -> Sizes {
+        if self.smoke {
+            Sizes {
+                lines: 1_500,
+                ts_records: 1_500,
+                points: 2_000,
+                edges: 1_200,
+                rounds: 3,
+            }
+        } else {
+            Sizes {
+                lines: 20_000,
+                ts_records: 20_000,
+                points: 10_000,
+                edges: 6_000,
+                rounds: 6,
+            }
         }
     }
 }
@@ -88,9 +112,9 @@ pub struct TuneReport {
 
 /// Tunes one workload on one engine.
 pub fn run_tune_cell(
-    workload: WorkloadId,
+    workload: Workload,
     engine: Framework,
-    scale: TuneScale,
+    sizes: Sizes,
     opts: &TuneOptions,
 ) -> TuneCell {
     let space = if opts.smoke {
@@ -99,7 +123,7 @@ pub fn run_tune_cell(
         ParamSpace::full()
     }
     .for_engine(engine);
-    let mut bench = Workbench::new(workload, engine, scale);
+    let mut bench = Workbench::new(workload, engine, sizes);
     let mut tuner = Tuner::new();
 
     let default_trial = tuner.evaluate(&EngineConfig::default(), Budget::FULL, &mut bench);
@@ -140,11 +164,11 @@ pub fn run_tune_cell(
 }
 
 /// Tunes all six workloads on both engines.
-pub fn run_tune(opts: &TuneOptions, scale: TuneScale) -> TuneReport {
+pub fn run_tune(opts: &TuneOptions) -> TuneReport {
     let mut cells = Vec::new();
-    for workload in WorkloadId::ALL {
+    for workload in Workload::ALL {
         for engine in Framework::BOTH {
-            cells.push(run_tune_cell(workload, engine, scale, opts));
+            cells.push(run_tune_cell(workload, engine, opts.sizes(), opts));
         }
     }
     TuneReport {
@@ -225,8 +249,8 @@ pub fn render(report: &TuneReport) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> TuneScale {
-        TuneScale {
+    fn tiny() -> Sizes {
+        Sizes {
             lines: 300,
             ts_records: 300,
             points: 300,
@@ -243,7 +267,7 @@ mod tests {
             guided_trials: 3,
             random_samples: 1,
         };
-        let cell = run_tune_cell(WorkloadId::Grep, Framework::Spark, tiny(), &opts);
+        let cell = run_tune_cell(Workload::Grep, Framework::Spark, tiny(), &opts);
         assert!(cell.all_verified);
         assert!(cell.speedup >= 1.0, "speedup {} lost to the default", cell.speedup);
         assert!(cell.best.verified && cell.best.budget_fraction >= 1.0);
@@ -258,7 +282,7 @@ mod tests {
             guided_trials: 2,
             random_samples: 0,
         };
-        let cell = run_tune_cell(WorkloadId::WordCount, Framework::Flink, tiny(), &opts);
+        let cell = run_tune_cell(Workload::WordCount, Framework::Flink, tiny(), &opts);
         let report = TuneReport {
             seed: 1,
             smoke: true,

@@ -26,7 +26,8 @@
 //!    budget, §VI-A; network-bound → grow buffers, §IV-B; CPU-bound → grow
 //!    parallelism, §IV-A).
 //! 5. [`workbench`] — the measurement rig: the six workloads of Table III
-//!    on either engine, every trial checked against its sequential oracle.
+//!    on either engine, each a `flowmark_workloads::cell::Cell`, so every
+//!    trial is checked against its sequential oracle.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,4 +42,4 @@ pub mod workbench;
 pub use profile::{classify, Bottleneck, Verdict};
 pub use search::{Budget, Measure, Measurement, Strategy, Trial, TuneOutcome, Tuner};
 pub use space::ParamSpace;
-pub use workbench::{TuneScale, Workbench, WorkloadId};
+pub use workbench::Workbench;

@@ -10,6 +10,11 @@
 //!    engines in `flowmark-engine`, validated against sequential oracles;
 //! 3. **Table I operator inventories** (`operator_table(...)`).
 //!
+//! [`cell`] is the one entry point to the real implementations and their
+//! oracles: each workload's fixed input recipe, its expected answer, and
+//! the call into either engine. The chaos, soak, mix and tuning drills all
+//! run their workloads through it.
+//!
 //! [`presets`] holds the parameter tables (II, III, V, VI) verbatim;
 //! [`costs`] holds the per-record user-code cost constants the plans are
 //! annotated with.
@@ -18,6 +23,7 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+pub mod cell;
 pub mod connected;
 pub mod costs;
 pub mod grep;
@@ -68,6 +74,18 @@ impl Workload {
             Workload::KMeans => "KM",
             Workload::PageRank => "PR",
             Workload::ConnectedComponents => "CC",
+        }
+    }
+
+    /// Report id, as drill artifacts name the workload.
+    pub fn name(self) -> &'static str {
+        match self {
+            Workload::WordCount => "wordcount",
+            Workload::Grep => "grep",
+            Workload::TeraSort => "terasort",
+            Workload::KMeans => "kmeans",
+            Workload::PageRank => "pagerank",
+            Workload::ConnectedComponents => "connected",
         }
     }
 

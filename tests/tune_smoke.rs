@@ -5,10 +5,11 @@
 
 use flowmark_core::config::Framework;
 use flowmark_harness::tune::{run_tune_cell, TuneOptions};
-use flowmark_tune::{TuneScale, WorkloadId};
+use flowmark_workloads::cell::Sizes;
+use flowmark_workloads::Workload;
 
-fn tiny() -> TuneScale {
-    TuneScale {
+fn tiny() -> Sizes {
+    Sizes {
         lines: 600,
         ts_records: 600,
         points: 600,
@@ -20,7 +21,7 @@ fn tiny() -> TuneScale {
 #[test]
 fn tuning_wordcount_never_loses_to_the_default_on_either_engine() {
     for engine in Framework::BOTH {
-        let cell = run_tune_cell(WorkloadId::WordCount, engine, tiny(), &TuneOptions::smoke(1));
+        let cell = run_tune_cell(Workload::WordCount, engine, tiny(), &TuneOptions::smoke(1));
         assert!(
             cell.all_verified,
             "{engine:?}: a tuning trial diverged from the oracle"
@@ -45,7 +46,7 @@ fn tuning_wordcount_never_loses_to_the_default_on_either_engine() {
 #[test]
 fn the_run_cache_never_reexecutes_a_config() {
     let cell = run_tune_cell(
-        WorkloadId::WordCount,
+        Workload::WordCount,
         Framework::Spark,
         tiny(),
         &TuneOptions::smoke(1),
