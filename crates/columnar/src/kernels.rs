@@ -8,12 +8,15 @@
 //! - filters emit a [`SelVec`] and never copy payload bytes;
 //! - hash-aggregation probes a **caller-supplied** map batch-at-a-time, so
 //!   the engines pass their own pre-sized FxHash maps and this crate stays
-//!   dependency-free.
+//!   dependency-free;
+//! - [`tokenize_count`] splits text lines in place and counts the words into
+//!   a [`WordDict`], which routes the counts without hashing a word again.
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
 use crate::batch::{ColumnBatch, F64Batch, SelVec, StrColumn, Validity};
+use crate::dict::WordDict;
 
 // ---------------------------------------------------------------------------
 // Byte search primitives
@@ -269,6 +272,44 @@ pub fn hash_agg_u64<S: BuildHasher>(
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Tokenize and count
+// ---------------------------------------------------------------------------
+
+/// The ASCII bytes `char::is_whitespace` accepts: space and `\t \n VT \f \r`
+/// (`0x09..=0x0D`). `u8::is_ascii_whitespace` would miss VT.
+#[inline]
+fn is_ascii_space(b: u8) -> bool {
+    b == b' ' || b.wrapping_sub(b'\t') < 5
+}
+
+/// Splits every line on whitespace and counts each word into `dict` — the
+/// Word Count map and its combiner in one pass over the caller's lines, with
+/// no copy of them. An ASCII line is split on its bytes; any other line goes
+/// through `str::split_whitespace`, so the words are exactly the ones
+/// `split_whitespace` yields on every input.
+pub fn tokenize_count<'a>(lines: impl IntoIterator<Item = &'a str>, dict: &mut WordDict) {
+    for line in lines {
+        let bytes = line.as_bytes();
+        if !bytes.is_ascii() {
+            line.split_whitespace().for_each(|w| dict.add(w));
+            continue;
+        }
+        let mut i = 0;
+        while i < bytes.len() {
+            if is_ascii_space(bytes[i]) {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && !is_ascii_space(bytes[i]) {
+                i += 1;
+            }
+            dict.add(&line[start..i]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -661,6 +702,24 @@ mod tests {
         hash_agg_u64(&keys, &vals, None, Some(&sel), &mut agg, |a, v| *a += v);
         assert_eq!(agg[&1], 10);
         assert_eq!(agg[&2], 40);
+    }
+
+    #[test]
+    fn tokenize_count_splits_like_split_whitespace() {
+        let lines = [
+            "a b\ta",
+            "",
+            " \t\n\x0B\x0C\r ",
+            "a\x0Bb\x1Cc",
+            "naïve\u{A0}café a\u{3000}b",
+        ];
+        let mut dict = WordDict::new();
+        tokenize_count(lines, &mut dict);
+        let mut expect: HashMap<&str, u64> = HashMap::new();
+        for w in lines.iter().flat_map(|l| l.split_whitespace()) {
+            *expect.entry(w).or_default() += 1;
+        }
+        assert_eq!(dict.iter().collect::<HashMap<_, _>>(), expect);
     }
 
     #[test]

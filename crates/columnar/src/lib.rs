@@ -15,9 +15,12 @@
 //!   ([`Validity`]) and selection vectors ([`SelVec`]) so filters never
 //!   copy data;
 //! - **[`kernels`]** — vectorized filter (predicate → selection vector),
-//!   project/gather (selection → materialized batch) and hash-aggregation
+//!   project/gather (selection → materialized batch), hash-aggregation
 //!   (batch-at-a-time probe into a caller-supplied map — the engines pass
-//!   their pre-sized FxHash maps);
+//!   their pre-sized FxHash maps) and tokenize-and-count into a
+//!   [`WordDict`];
+//! - **[`dict`]** — [`WordDict`], an open-addressing word → count table
+//!   over a byte arena whose one hash per word also routes it;
 //! - **[`kvbatch`]** — key/value batches whose shuffle routing moves whole
 //!   column slices per reducer instead of cloning `(K, V)` pairs one at a
 //!   time.
@@ -33,6 +36,7 @@
 
 pub mod batch;
 pub mod checksum;
+pub mod dict;
 pub mod kernels;
 pub mod kvbatch;
 
@@ -40,4 +44,5 @@ pub use batch::{
     BytesColumn, Column, ColumnBatch, F64Batch, SelVec, StrColumn, Validity, DEFAULT_BATCH_ROWS,
 };
 pub use checksum::{Checksummable, CorruptionKind, Xxh64};
+pub use dict::WordDict;
 pub use kvbatch::{route_rows, StrU64Batch};

@@ -3,10 +3,14 @@
 //! validity masks, and chained selection vectors included.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use flowmark_columnar::{kernels, Column, ColumnBatch, SelVec, StrColumn, Validity};
+use flowmark_columnar::{
+    kernels, Column, ColumnBatch, SelVec, StrColumn, StrU64Batch, Validity, WordDict,
+};
+use flowmark_engine::hash::FxHasher64;
 
 /// Strings over a tiny alphabet so substrings collide often (boundary
 /// straddles, repeated prefixes) and needles actually match sometimes.
@@ -58,8 +62,142 @@ fn sel_from(step: usize, rows: usize) -> Option<SelVec> {
     ))
 }
 
+/// Every char `char::is_whitespace` accepts; the first six are ASCII.
+const SPACES: [&str; 25] = [
+    " ", "\t", "\n", "\u{0B}", "\u{0C}", "\r", "\u{85}", "\u{A0}", "\u{1680}", "\u{2000}",
+    "\u{2001}", "\u{2002}", "\u{2003}", "\u{2004}", "\u{2005}", "\u{2006}", "\u{2007}", "\u{2008}",
+    "\u{2009}", "\u{200A}", "\u{2028}", "\u{2029}", "\u{202F}", "\u{205F}", "\u{3000}",
+];
+const ASCII_SPACES: usize = 6;
+
+/// Word characters, multi-byte ones included; U+001C and U+200B look like
+/// separators but are not whitespace. The first three are ASCII.
+const LETTERS: [&str; 6] = ["a", "b", "\u{1C}", "é", "日", "\u{200B}"];
+const ASCII_LETTERS: usize = 3;
+
+/// One line from `(letter, repeat, separator)` picks: each word is one
+/// letter repeated (0 repeats leaves only the separator, 17 or more make a
+/// word longer than the dictionary's inline width), then a separator. An
+/// `ascii` line draws only ASCII letters and separators.
+fn line_from(ascii: bool, picks: &[(usize, usize, usize)]) -> String {
+    let (letters, spaces) = if ascii {
+        (ASCII_LETTERS, ASCII_SPACES)
+    } else {
+        (LETTERS.len(), SPACES.len())
+    };
+    picks
+        .iter()
+        .map(|&(l, n, s)| LETTERS[l % letters].repeat(n) + SPACES[s % spaces])
+        .collect()
+}
+
+fn arb_text_lines() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            prop::collection::vec((0usize..6, 0usize..24, 0usize..25), 0..10),
+        )
+            .prop_map(|(ascii, picks)| line_from(ascii, &picks)),
+        0..30,
+    )
+}
+
+/// How the word-count shuffle routed a word before the dictionary kernel:
+/// FxHash of the `str`, modulo the reducer count.
+fn word_partition(word: &str, parts: usize) -> usize {
+    let mut h = FxHasher64::default();
+    word.hash(&mut h);
+    (h.finish() as usize) % parts
+}
+
+/// `split_whitespace` into a `HashMap<String, u64>`: the scalar reference.
+fn reference_counts(lines: &[String]) -> HashMap<String, u64> {
+    let mut counts = HashMap::new();
+    for w in lines.iter().flat_map(|l| l.split_whitespace()) {
+        *counts.entry(w.to_owned()).or_default() += 1;
+    }
+    counts
+}
+
+/// `tokenize_count` then `route` equal the reference counts, and every
+/// routed word sits in the batch `word_partition` names, once.
+fn assert_counts_and_routes_match(lines: &[String], parts: usize) {
+    let expect = reference_counts(lines);
+    let mut dict = WordDict::new();
+    kernels::tokenize_count(lines.iter().map(String::as_str), &mut dict);
+    assert_eq!(dict.len(), expect.len());
+    let counted: HashMap<String, u64> = dict.iter().map(|(w, c)| (w.to_owned(), c)).collect();
+    assert_eq!(counted, expect);
+    let routed = dict.route(parts);
+    assert_eq!(routed.len(), parts);
+    assert_eq!(
+        routed.iter().map(StrU64Batch::len).sum::<usize>(),
+        expect.len()
+    );
+    let mut seen = HashMap::new();
+    for (p, batch) in routed.iter().enumerate() {
+        for (w, c) in batch.iter() {
+            assert_eq!(
+                word_partition(w, parts),
+                p,
+                "{w:?} routed to the wrong reducer"
+            );
+            seen.insert(w.to_owned(), c);
+        }
+    }
+    assert_eq!(seen, expect);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tokenize-and-count plus route equal `split_whitespace` into a
+    /// `HashMap` on any text: every Unicode whitespace char, empty and
+    /// whitespace-only lines, multi-byte words and words past the inline
+    /// width, on ASCII lines (byte split) and others (`str` split).
+    #[test]
+    fn tokenize_count_and_route_match_the_scalar_reference(
+        lines in arb_text_lines(),
+        parts in 1usize..7,
+    ) {
+        assert_counts_and_routes_match(&lines, parts);
+    }
+
+    /// All-distinct vocabularies large enough to grow the dictionary
+    /// several times, and all-equal ones, count and route exactly.
+    #[test]
+    fn distinct_and_equal_vocabularies_count_through_growth(
+        words in 1usize..6_000,
+        repeats in 1usize..4,
+        parts in 1usize..7,
+    ) {
+        let lines_of = |word: &dyn Fn(usize) -> String| -> Vec<String> {
+            let stream: Vec<String> = (0..repeats * words).map(word).collect();
+            stream.chunks(10).map(|c| c.join(" ")).collect()
+        };
+        assert_counts_and_routes_match(&lines_of(&|i| format!("w{}", i % words)), parts);
+        assert_counts_and_routes_match(&lines_of(&|_| "same".to_owned()), parts);
+    }
+
+    /// A 64 KiB word, ASCII or multi-byte, counts and routes like any other.
+    #[test]
+    fn a_64_kib_word_counts_like_any_other(
+        multi_byte in any::<bool>(),
+        extra in 0usize..9,
+        parts in 1usize..7,
+    ) {
+        let giant = if multi_byte {
+            "é".repeat((64 << 10) / 2 + extra)
+        } else {
+            "g".repeat((64 << 10) + extra)
+        };
+        let lines = vec![
+            format!("a {giant} b"),
+            giant.clone(),
+            format!("{giant}\u{3000}{giant}\ta"),
+        ];
+        assert_counts_and_routes_match(&lines, parts);
+    }
 
     /// The substring filter (dense flat scan or masked per-row scan) equals
     /// `str::contains` over the candidate rows.

@@ -136,6 +136,17 @@ mod tests {
         assert!(max / ideal < 1.25, "unbalanced: {counts:?}");
     }
 
+    /// `flowmark-columnar` carries a copy of this hasher for routing words
+    /// out of its dictionary; both must place every word identically.
+    #[test]
+    fn columnar_word_hash_is_fxhash_of_str() {
+        // Every prefix: each tail length, inline and arena words alike.
+        let text = "naïve café\0word000123 and a tail well past sixteen bytes";
+        for w in (0..=text.len()).filter_map(|n| text.get(..n)) {
+            assert_eq!(flowmark_columnar::dict::word_hash(w), hash_of(&w), "{w:?}");
+        }
+    }
+
     #[test]
     fn presized_map_never_reallocates_under_budget() {
         let mut m = fx_map_with_capacity::<u64, u64>(1000);

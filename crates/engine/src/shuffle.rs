@@ -177,6 +177,23 @@ impl<T> Partition<T> {
         }
     }
 
+    /// `data` cut into consecutive ranges of `rows` elements, the last one
+    /// shorter — a source's batches without a copy of the elements. An
+    /// empty vector is one empty range, so a plan over it still has a seed.
+    pub fn ranges(data: Vec<T>, rows: usize) -> Vec<Self> {
+        assert!(rows > 0);
+        let data = Arc::new(data);
+        let n = data.len();
+        (0..n.max(1))
+            .step_by(rows)
+            .map(|start| Self {
+                data: Arc::clone(&data),
+                start,
+                end: (start + rows).min(n),
+            })
+            .collect()
+    }
+
     /// The elements, owned: the storage itself when this partition is its
     /// only holder and covers all of it, a copy of the range otherwise.
     pub fn into_vec(self) -> Vec<T>
@@ -525,6 +542,17 @@ mod tests {
         let keep = Arc::clone(&shared);
         let cloned = take_partition(shared);
         assert_eq!(cloned, *keep, "shared Arc falls back to a clone");
+    }
+
+    #[test]
+    fn ranges_cut_consecutive_batches_sharing_one_vector() {
+        let ranges = Partition::ranges((0..10u32).collect(), 4);
+        let cut: Vec<&[u32]> = ranges.iter().map(|r| &r[..]).collect();
+        assert_eq!(cut, vec![&[0, 1, 2, 3][..], &[4, 5, 6, 7], &[8, 9]]);
+        assert!(ranges.iter().all(|r| Arc::ptr_eq(&r.data, &ranges[0].data)));
+        let empty = Partition::<u32>::ranges(Vec::new(), 4);
+        assert_eq!(empty.len(), 1);
+        assert!(empty[0].is_empty());
     }
 
     #[test]

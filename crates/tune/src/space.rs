@@ -125,7 +125,7 @@ impl ParamSpace {
             combine_enabled: self.combine_enabled[0],
             partitioner: self.partitioner[0],
             cache_bytes: self.cache_bytes[0],
-            executor: Default::default(),
+            ..EngineConfig::default()
         }
     }
 
@@ -147,7 +147,7 @@ impl ParamSpace {
                                         combine_enabled,
                                         partitioner,
                                         cache_bytes,
-                                        executor: Default::default(),
+                                        ..EngineConfig::default()
                                     });
                                 }
                             }
@@ -173,7 +173,7 @@ impl ParamSpace {
             combine_enabled: pick(rng, &self.combine_enabled),
             partitioner: pick(rng, &self.partitioner),
             cache_bytes: pick(rng, &self.cache_bytes),
-            executor: Default::default(),
+            ..EngineConfig::default()
         }
     }
 

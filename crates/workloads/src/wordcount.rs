@@ -4,16 +4,22 @@
 //!
 //! - Flink: `flatMap → groupBy → sum → writeAsText`
 //! - Spark: `flatMap → mapToPair → reduceByKey → saveAsTextFile`
+//!
+//! Both engines run the same batch path. Each map task reads its ranges of
+//! the caller's lines in place and tokenizes them straight into one
+//! [`WordDict`] (`kernels::tokenize_count`), which is the map-side
+//! combiner. The dictionary then routes its counts by the hash it already
+//! holds. The routed [`StrU64Batch`]es are sealed, exchanged, verified, and
+//! hash-merged per reducer.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
-use flowmark_columnar::{StrColumn, StrU64Batch, DEFAULT_BATCH_ROWS};
+use flowmark_columnar::{kernels, StrU64Batch, WordDict, DEFAULT_BATCH_ROWS};
 use flowmark_core::config::Framework;
 use flowmark_dataflow::operator::OperatorKind;
 use flowmark_dataflow::plan::{CostAnnotation, LogicalPlan};
 use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::hash::{fx_map_with_capacity, FxHasher64, FxHashMap};
+use flowmark_engine::hash::{fx_map_with_capacity, FxHashMap};
 use flowmark_engine::metrics::EngineMetrics;
 use flowmark_engine::shuffle::Partition;
 use flowmark_engine::spark::SparkContext;
@@ -122,34 +128,23 @@ fn count_partition<'a>(lines: impl IntoIterator<Item = &'a String>) -> Vec<(Stri
     counts.into_iter().collect()
 }
 
-/// Shuffle routing for word keys: plain FxHash of the word's bytes, modulo
-/// the reducer count. Only self-consistency across map tasks matters.
-fn word_partition(word: &str, parts: usize) -> usize {
-    let mut h = FxHasher64::default();
-    word.hash(&mut h);
-    (h.finish() as usize) % parts
-}
-
-/// Tokenizes and locally aggregates one partition's column batches, then
-/// routes the aggregate into per-reducer [`StrU64Batch`]es tagged with
-/// their target partition — the map half of the batch-granularity shuffle.
-fn count_batches(
-    cols: &[StrColumn],
+/// The map half of the batch-granularity shuffle: tokenizes one task's line
+/// ranges in place into one [`WordDict`] (the map-side combiner), then
+/// routes the counts into per-reducer [`StrU64Batch`]es tagged with their
+/// target partition. A word's route is its dictionary hash modulo the
+/// reducer count — FxHash of the word, as on every other string shuffle.
+fn count_ranges(
+    ranges: &[Partition<String>],
     out_parts: usize,
     metrics: &EngineMetrics,
 ) -> Vec<(usize, StrU64Batch)> {
-    let mut counts: FxHashMap<String, u64> = fx_map_with_capacity(1024);
-    for col in cols {
-        for i in 0..col.len() {
-            for w in col.get(i).split_whitespace() {
-                count_word(&mut counts, w);
-            }
-        }
+    let mut dict = WordDict::new();
+    for range in ranges {
+        kernels::tokenize_count(range.iter().map(String::as_str), &mut dict);
         metrics.add_batches_processed(1);
-        metrics.add_rows_selected(col.len() as u64);
+        metrics.add_rows_selected(range.len() as u64);
     }
-    StrU64Batch::from_pairs(counts)
-        .partition_by(out_parts, |w| word_partition(w, out_parts))
+    dict.route(out_parts)
         .into_iter()
         .enumerate()
         .filter(|(_, b)| !b.is_empty())
@@ -168,25 +163,28 @@ fn merge_batches(batches: &[StrU64Batch], metrics: &EngineMetrics) -> FxHashMap<
     agg
 }
 
-/// Splits a line corpus into column batches plus the row count the source
-/// metric misses (sources count batch *elements*, not the rows inside).
-fn batch_lines(lines: Vec<String>) -> (Vec<StrColumn>, u64) {
+/// Cuts the corpus into `DEFAULT_BATCH_ROWS`-line ranges of one shared
+/// vector — the source elements both engines split among map tasks, so
+/// every task sees the batches it always saw, and nothing is copied — plus
+/// the row count the source metric misses (sources count elements, not the
+/// rows inside). The ranges keep the lines alive for lineage recompute.
+fn line_ranges(lines: Vec<String>) -> (Vec<Partition<String>>, u64) {
     let rows = lines.len();
-    let batches = StrColumn::batches_from_lines(&lines, DEFAULT_BATCH_ROWS);
-    let extra = (rows - batches.len().min(rows)) as u64;
-    (batches, extra)
+    let ranges = Partition::ranges(lines, DEFAULT_BATCH_ROWS);
+    let extra = (rows - ranges.len().min(rows)) as u64;
+    (ranges, extra)
 }
 
-/// Runs Word Count on the staged engine: columnar tokenize + local
-/// aggregation, then a batch-granularity shuffle whose reduce-side merge
-/// runs inside the shuffle materialisation.
+/// Runs Word Count on the staged engine: tokenize-and-count into a word
+/// dictionary per map task, then a batch-granularity shuffle whose
+/// reduce-side merge runs inside the shuffle materialisation.
 pub fn run_spark(sc: &SparkContext, lines: Vec<String>, partitions: usize) -> HashMap<String, u64> {
     let metrics = sc.metrics().clone();
     let merge_metrics = sc.metrics().clone();
-    let (batches, extra_rows) = batch_lines(lines);
+    let (ranges, extra_rows) = line_ranges(lines);
     metrics.add_records_read(extra_rows);
-    sc.parallelize(batches, partitions)
-        .map_partitions(move |cols| count_batches(cols, partitions, &metrics))
+    sc.parallelize(ranges, partitions)
+        .map_partitions(move |ranges| count_ranges(ranges, partitions, &metrics))
         .exchange_by_index_with(partitions, move |bs| {
             vec![StrU64Batch::from_pairs(merge_batches(&bs, &merge_metrics))]
         })
@@ -202,10 +200,12 @@ pub fn run_flink(env: &FlinkEnv, lines: Vec<String>) -> HashMap<String, u64> {
     let metrics = env.metrics().clone();
     let merge_metrics = env.metrics().clone();
     let out_parts = env.parallelism();
-    let (batches, extra_rows) = batch_lines(lines);
+    let (ranges, extra_rows) = line_ranges(lines);
     metrics.add_records_read(extra_rows);
-    env.from_collection(batches)
-        .map_partition(move |cols: Partition<StrColumn>| count_batches(&cols, out_parts, &metrics))
+    env.from_collection(ranges)
+        .map_partition(move |ranges: Partition<Partition<String>>| {
+            count_ranges(&ranges, out_parts, &metrics)
+        })
         .exchange_by_index(out_parts)
         .map_partition(move |bs: Partition<StrU64Batch>| {
             merge_batches(&bs, &merge_metrics).into_iter().collect::<Vec<_>>()

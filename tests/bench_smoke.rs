@@ -315,3 +315,44 @@ fn terasort_counters_repeat_exactly() {
         terasort::validate_output(records.len(), &first.1).unwrap();
     }
 }
+
+/// Word Count's deterministic counters are a function of the input alone:
+/// two fresh contexts agree on each engine, and both read what the commit
+/// before the word-dictionary kernel read for this seed (the same distinct
+/// words per map task shuffled in the same sealed batches, every line read
+/// once, every source batch and routed batch processed once).
+#[test]
+fn wordcount_counters_repeat_exactly() {
+    use flowmark_datagen::text::{TextGen, TextGenConfig};
+    use flowmark_workloads::wordcount;
+
+    let lines = TextGen::new(TextGenConfig::default(), 7).lines(20_000);
+    let expect = wordcount::oracle(&lines);
+    let counters = |m: &flowmark_engine::EngineMetrics| {
+        (
+            m.records_shuffled(),
+            m.bytes_shuffled(),
+            m.recovery().batches_checksummed,
+            m.records_read(),
+            m.batches_processed(),
+            m.rows_selected(),
+        )
+    };
+    let staged = || {
+        let sc = SparkContext::new(4, 64 << 20);
+        let out = wordcount::run_spark(&sc, lines.clone(), 4);
+        (counters(sc.metrics()), out)
+    };
+    let pipelined = || {
+        let env = FlinkEnv::new(4);
+        let out = wordcount::run_flink(&env, lines.clone());
+        (counters(env.metrics()), out)
+    };
+    let parent = (31_149, 560_562, 12, 20_000, 17, 51_149);
+    for (first, second) in [(staged(), staged()), (pipelined(), pipelined())] {
+        assert_eq!(first.0, second.0, "counters differ between fresh contexts");
+        assert_eq!(first.0, parent, "counters moved against the parent commit");
+        assert_eq!(first.1, expect);
+        assert_eq!(second.1, expect);
+    }
+}
