@@ -1461,8 +1461,10 @@ mod tests {
     fn exchange_is_pipelined_producers_and_consumers_overlap() {
         // With 4 producers + 4 consumers live at once, peak tasks during the
         // exchange must exceed what a staged execution would show (≤ 4).
+        // Each producer needs enough records to outlive the spawn of the
+        // last one on a two-core box, or the peak reads 7.
         let env = FlinkEnv::new(4);
-        let pairs: Vec<(u32, u64)> = (0..50_000).map(|i| (i % 1000, 1)).collect();
+        let pairs: Vec<(u32, u64)> = (0..500_000).map(|i| (i % 1000, 1)).collect();
         let _ = env.from_collection(pairs).group_reduce(|a, b| *a += b).collect();
         assert!(
             env.peak_tasks() >= 8,

@@ -163,11 +163,13 @@ fn merge_batches(batches: &[StrU64Batch], metrics: &EngineMetrics) -> FxHashMap<
     agg
 }
 
-/// Cuts the corpus into `DEFAULT_BATCH_ROWS`-line ranges of one shared
-/// vector — the source elements both engines split among map tasks, so
-/// every task sees the batches it always saw, and nothing is copied — plus
-/// the row count the source metric misses (sources count elements, not the
-/// rows inside). The ranges keep the lines alive for lineage recompute.
+/// Cuts the corpus into `DEFAULT_BATCH_ROWS`-line ranges — the source
+/// elements both engines split among map tasks, so every task sees the
+/// batches it always saw — plus the row count the source metric misses
+/// (sources count elements, not the rows inside). The lines move into the
+/// ranges without a copy, and the ranges keep them alive for lineage
+/// recompute. Each range owns its lines, so the job frees its input one
+/// batch at a time (see [`Partition::ranges`]).
 fn line_ranges(lines: Vec<String>) -> (Vec<Partition<String>>, u64) {
     let rows = lines.len();
     let ranges = Partition::ranges(lines, DEFAULT_BATCH_ROWS);

@@ -356,3 +356,92 @@ fn wordcount_counters_repeat_exactly() {
         assert_eq!(second.1, expect);
     }
 }
+
+/// Grep's deterministic counters are a function of the input alone: two
+/// fresh contexts agree on each engine, and both read what the commit before
+/// per-range source release read for this seed (every line read once, one
+/// sealed source batch per `DEFAULT_BATCH_ROWS` lines, each verified and
+/// filtered once, nothing shuffled).
+#[test]
+fn grep_counters_repeat_exactly() {
+    use flowmark_datagen::text::{TextGen, TextGenConfig};
+    use flowmark_workloads::grep;
+
+    let config = TextGenConfig {
+        needle_selectivity: 0.05,
+        ..TextGenConfig::default()
+    };
+    let needle = config.needle.clone();
+    let lines = TextGen::new(config, 9).lines(20_000);
+    let expect = grep::oracle(&lines, &needle);
+    let counters = |m: &flowmark_engine::EngineMetrics| {
+        (
+            m.records_shuffled(),
+            m.recovery().batches_checksummed,
+            m.records_read(),
+            m.batches_processed(),
+            m.rows_selected(),
+        )
+    };
+    let staged = || {
+        let sc = SparkContext::new(4, 64 << 20);
+        let out = grep::run_spark(&sc, lines.clone(), &needle, 4);
+        (counters(sc.metrics()), out)
+    };
+    let pipelined = || {
+        let env = FlinkEnv::new(4);
+        let out = grep::run_flink(&env, lines.clone(), &needle);
+        (counters(env.metrics()), out)
+    };
+    let parent = (0, 5, 20_000, 5, 1_013);
+    for (first, second) in [(staged(), staged()), (pipelined(), pipelined())] {
+        assert_eq!(first.0, second.0, "counters differ between fresh contexts");
+        assert_eq!(first.0, parent, "counters moved against the parent commit");
+        assert_eq!(first.1, expect);
+        assert_eq!(second.1, expect);
+    }
+}
+
+/// K-Means' deterministic counters are a function of the input alone: two
+/// fresh contexts agree on each engine, on the counters the commit before
+/// per-range source release read for this seed and on bit-identical centers
+/// (every point assigned by the vectorized kernel once per round; the staged
+/// engine shuffles one partial sum per center per map task per round, the
+/// pipelined one folds them inside its native iteration and shuffles none).
+#[test]
+fn kmeans_counters_repeat_exactly() {
+    use flowmark_datagen::points::{PointsConfig, PointsGen};
+    use flowmark_workloads::kmeans;
+
+    let mut gen = PointsGen::new(PointsConfig::default(), 9);
+    let points = gen.points(20_000);
+    let init = gen.true_centers().to_vec();
+    let rounds = 3;
+    let counters = |m: &flowmark_engine::EngineMetrics| {
+        (
+            m.records_shuffled(),
+            m.bytes_shuffled(),
+            m.recovery().batches_checksummed,
+            m.records_read(),
+            m.batches_processed(),
+            m.points_assigned_vectorized(),
+        )
+    };
+    let staged = || {
+        let sc = SparkContext::new(4, 64 << 20);
+        let out = kmeans::run_spark(&sc, points.clone(), init.clone(), rounds, 4);
+        (counters(sc.metrics()), out)
+    };
+    let pipelined = || {
+        let env = FlinkEnv::new(4);
+        let out = kmeans::run_flink(&env, points.clone(), init.clone(), rounds);
+        (counters(env.metrics()), out)
+    };
+    let parent = [(96, 3_072, 0, 4, 24, 60_000), (0, 0, 0, 0, 24, 60_000)];
+    let runs = [(staged(), staged()), (pipelined(), pipelined())];
+    for ((first, second), parent) in runs.into_iter().zip(parent) {
+        assert_eq!(first.0, second.0, "counters differ between fresh contexts");
+        assert_eq!(first.0, parent, "counters moved against the parent commit");
+        assert_eq!(first.1, second.1, "centers must be bit-identical");
+    }
+}
