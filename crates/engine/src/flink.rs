@@ -38,6 +38,7 @@ use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::memory::BufferPool;
 use crate::metrics::EngineMetrics;
 use crate::runtime::{self, FragmentHandle};
+use crate::setup::Setup;
 use crate::shuffle::{seal, verify, Materialised, Partition, Sealed, ShuffleBatch};
 use crate::sortbuf::{CombineFn, SortCombineBuffer};
 use flowmark_sched::{FragmentCache, FragmentKey};
@@ -74,66 +75,51 @@ pub struct FlinkEnv {
 }
 
 impl FlinkEnv {
-    /// Creates an environment with the given default parallelism; every
-    /// other knob takes its [`EngineConfig`] default.
+    /// An environment at `parallelism`; every other knob takes its
+    /// [`EngineConfig`] default. Short for `Setup::new(parallelism).flink()`.
     pub fn new(parallelism: usize) -> Self {
-        Self::with_config(&EngineConfig::with_parallelism(parallelism))
+        Setup::new(parallelism).flink()
     }
 
-    /// Creates an environment that executes every job under the given
-    /// fault plan, recovering via checkpointed region restarts.
-    pub fn with_faults(parallelism: usize, faults: FaultPlan) -> Self {
-        Self::with_config_and_faults(&EngineConfig::with_parallelism(parallelism), faults)
-    }
-
-    /// Full control over buffering (used by backpressure tests).
-    pub fn with_buffers(
-        parallelism: usize,
-        network_buffer_records: usize,
-        combine_buffer_records: usize,
-    ) -> Self {
-        Self::with_config(&EngineConfig {
-            parallelism,
-            network_buffer_records,
-            combine_buffer_records,
-            ..EngineConfig::default()
-        })
-    }
-
-    /// The unified constructor: every knob comes from one serializable
-    /// [`EngineConfig`] (the surface `flowmark-tune` searches).
+    /// Short for `Setup::from(*config).flink()`.
     pub fn with_config(config: &EngineConfig) -> Self {
-        Self::with_config_and_faults(config, FaultPlan::disabled())
+        Setup::from(*config).flink()
     }
 
-    /// [`FlinkEnv::with_config`] plus a fault-injection plan.
-    pub fn with_config_and_faults(config: &EngineConfig, faults: FaultPlan) -> Self {
-        Self::with_config_faults_cancel(config, faults, CancelToken::new())
-    }
-
-    /// The full constructor: config, fault plan, and a job-level
-    /// [`CancelToken`]. Setting the token tears down any in-flight job on
-    /// this environment: pipeline pumps unwind with a
-    /// [`crate::faults::JobCancelled`] payload and channels drain as the
-    /// task scope joins.
+    /// Short for a [`Setup`] with these three fields and no fragment cache.
     pub fn with_config_faults_cancel(
         config: &EngineConfig,
         faults: FaultPlan,
         cancel: CancelToken,
     ) -> Self {
+        Setup {
+            faults,
+            cancel,
+            ..Setup::from(*config)
+        }
+        .flink()
+    }
+
+    /// Builds an environment from `setup`. Every job runs under its fault
+    /// plan, recovering via checkpointed region restarts. Setting its
+    /// cancel token tears down any in-flight job: pipeline pumps unwind
+    /// with a [`crate::faults::JobCancelled`] payload and channels drain as
+    /// the task scope joins.
+    pub(crate) fn build(setup: &Setup) -> Self {
+        let config = setup.config;
         config.validate().expect("invalid engine config");
         Self {
             inner: Arc::new(EnvInner {
-                config: *config,
+                config,
                 metrics: EngineMetrics::new(),
                 trace: Mutex::new(PlanTrace::new()),
                 start: Instant::now(),
                 live_tasks: AtomicU64::new(0),
                 peak_tasks: AtomicU64::new(0),
-                faults,
+                faults: setup.faults.clone(),
                 next_stage: AtomicU64::new(0),
-                cancel,
-                fragment: Mutex::new(None),
+                cancel: setup.cancel.clone(),
+                fragment: Mutex::new(setup.fragment.clone()),
             }),
         }
     }
@@ -1495,7 +1481,12 @@ mod tests {
     fn bounded_channels_apply_backpressure_without_deadlock() {
         // Tiny buffers force producers to block on slow consumers; the job
         // must still complete (no deadlock) and produce correct results.
-        let env = FlinkEnv::with_buffers(4, 2, 64);
+        let env = FlinkEnv::with_config(&EngineConfig {
+            parallelism: 4,
+            network_buffer_records: 2,
+            combine_buffer_records: 64,
+            ..EngineConfig::default()
+        });
         let pairs: Vec<(u32, u64)> = (0..20_000).map(|i| (i % 7, 1)).collect();
         let counts = env.from_collection(pairs).group_reduce(|a, b| *a += b).collect();
         let total: u64 = counts.iter().map(|(_, v)| v).sum();
@@ -1580,7 +1571,7 @@ mod tests {
             checkpoint_interval_records: 32,
             ..FaultConfig::default()
         };
-        let env = FlinkEnv::with_faults(4, FaultPlan::new(cfg));
+        let env = Setup { faults: FaultPlan::new(cfg), ..Setup::new(4) }.flink();
         let pairs: Vec<(u32, u64)> = (0..6000).map(|i| (i % 97, 1)).collect();
         let faulted = env
             .from_collection(pairs.clone())
@@ -1611,15 +1602,16 @@ mod tests {
             kill_list: vec![(1, 4, 0)],
             ..FaultConfig::default()
         });
-        let env = FlinkEnv::with_config_and_faults(
-            &EngineConfig {
+        let env = Setup {
+            faults: plan,
+            ..Setup::from(EngineConfig {
                 parallelism: 4,
                 network_buffer_records: 2,
                 combine_buffer_records: 64,
                 ..EngineConfig::default()
-            },
-            plan,
-        );
+            })
+        }
+        .flink();
         let part = Arc::new(flowmark_dataflow::partitioner::RangePartitioner::new(vec![
             5_000u32, 10_000, 15_000,
         ]));
@@ -1695,15 +1687,16 @@ mod tests {
     #[test]
     fn batch_exchange_corruption_fails_the_region_and_recovers() {
         use crate::faults::FaultConfig;
-        let env = FlinkEnv::with_faults(
-            4,
-            FaultPlan::new(FaultConfig {
+        let env = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 17,
                 corrupt_first_n: 1,
                 checkpoint_interval_records: 2,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .flink();
         let mut all: Vec<u64> = routed(&env, 400, 4).collect().into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<u64>>(), "recovery must restore the data");
@@ -1719,15 +1712,16 @@ mod tests {
         // Tight barriers complete many checkpoints; the guaranteed rot
         // budget makes one of the read-backs (scrub or restore) fail its
         // digest and be discarded.
-        let env = FlinkEnv::with_faults(
-            4,
-            FaultPlan::new(FaultConfig {
+        let env = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 23,
                 checkpoint_corrupt_first_n: 1,
                 checkpoint_interval_records: 2,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .flink();
         let mut all: Vec<u64> = routed(&env, 400, 4).collect().into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<u64>>());
@@ -1743,15 +1737,16 @@ mod tests {
         // materialise takes stage 0) mid-stream on its first attempt, with
         // barriers every 2 sends: the region must restart, replay only the
         // unsnapshotted suffix, and reproduce the oracle byte-for-byte.
-        let env = FlinkEnv::with_faults(
-            4,
-            FaultPlan::new(FaultConfig {
+        let env = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 29,
                 kill_list: vec![(1, 0, 0)],
                 checkpoint_interval_records: 2,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .flink();
         let mut all: Vec<u64> = routed(&env, 400, 4).collect().into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<u64>>());
@@ -1764,9 +1759,11 @@ mod tests {
     #[test]
     fn fault_plan_accessor_defaults_to_disabled() {
         assert!(!FlinkEnv::new(2).faults().active());
-        assert!(FlinkEnv::with_faults(2, FaultPlan::new(crate::faults::FaultConfig::chaos(1)))
-            .faults()
-            .active());
+        let setup = Setup {
+            faults: FaultPlan::new(crate::faults::FaultConfig::chaos(1)),
+            ..Setup::new(2)
+        };
+        assert!(setup.flink().faults().active());
     }
 
     #[test]

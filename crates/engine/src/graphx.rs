@@ -225,13 +225,14 @@ pub fn connected_components(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Setup;
     use crate::faults::{FaultConfig, FaultPlan};
     use crate::flink::FlinkEnv;
     use crate::gelly;
     use flowmark_core::config::EngineConfig;
 
     fn sc() -> SparkContext {
-        SparkContext::new(4, 64 << 20)
+        SparkContext::new(4)
     }
 
     #[test]
@@ -285,7 +286,7 @@ mod tests {
     fn armed(faults: FaultConfig) -> SparkContext {
         crate::faults::install_quiet_hook();
         let config = EngineConfig::with_parallelism(4);
-        SparkContext::with_config_and_faults(&config, FaultPlan::new(faults))
+        Setup { faults: FaultPlan::new(faults), ..Setup::from(config) }.spark()
     }
 
     fn random_edges(seed: u64, n: usize, ids: u64) -> Vec<(u64, u64)> {

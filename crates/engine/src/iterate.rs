@@ -576,6 +576,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Setup;
 
     #[test]
     fn bulk_iterate_converges_like_a_fixpoint() {
@@ -779,7 +780,7 @@ mod tests {
             backoff_base: std::time::Duration::from_micros(100),
             ..FaultConfig::default()
         });
-        let env = FlinkEnv::with_faults(4, plan);
+        let env = Setup { faults: plan, ..Setup::new(4) }.flink();
         let data: Vec<Vec<u64>> = (0..4).map(|i| vec![i, i + 1]).collect();
         let step = |s: &u64, part: &[u64]| s + part.iter().sum::<u64>();
         let faulted = bulk_iterate(&env, data.clone(), 0u64, 6, step, |a, b| a + b, |s| s);
@@ -808,7 +809,7 @@ mod tests {
             backoff_base: std::time::Duration::from_micros(100),
             ..FaultConfig::default()
         });
-        let env = FlinkEnv::with_faults(4, plan);
+        let env = Setup { faults: plan, ..Setup::new(4) }.flink();
         let faulted = components(&env, &g, 400, DELTA).unwrap();
         let clean_env = FlinkEnv::new(4);
         let clean = components(&clean_env, &g, 400, DELTA).unwrap();
@@ -830,16 +831,17 @@ mod tests {
         use crate::faults::FaultConfig;
         let g = PartitionedGraph::from_edges(&random_edges(5, 3_000, 400), 3);
         let armed = || {
-            FlinkEnv::with_faults(
-                3,
-                FaultPlan::new(FaultConfig {
+            Setup {
+                faults: FaultPlan::new(FaultConfig {
                     seed: 17,
                     corrupt_first_n: 1,
                     checkpoint_interval_rounds: 2,
                     backoff_base: std::time::Duration::from_micros(100),
                     ..FaultConfig::default()
                 }),
-            )
+                ..Setup::new(3)
+            }
+            .flink()
         };
         // Bulk Page Rank: the replay folds the same sums in the same order.
         let env = armed();
@@ -868,7 +870,7 @@ mod tests {
         let seed = (0..)
             .find(|&seed| first_rot(seed).is_some_and(|site| site / 3 == 3))
             .expect("some seed rots round 3 first");
-        let env_late = FlinkEnv::with_faults(3, FaultPlan::new(dice(seed)));
+        let env_late = Setup { faults: FaultPlan::new(dice(seed)), ..Setup::new(3) }.flink();
         assert_eq!(ranks(&env_late, &g, 8), ranks(&FlinkEnv::new(3), &g, 8));
         assert!(env_late.metrics().recovery().checkpoints_taken >= 3 + 2);
         for m in [&env, &env_cc, &env_late] {
@@ -884,16 +886,17 @@ mod tests {
     fn corruption_outliving_the_retry_budget_is_a_typed_failure() {
         use crate::faults::FaultConfig;
         let g = PartitionedGraph::from_edges(&random_edges(5, 3_000, 400), 3);
-        let env = FlinkEnv::with_faults(
-            3,
-            FaultPlan::new(FaultConfig {
+        let env = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 17,
                 corrupt_first_n: u64::MAX,
                 max_attempts: 3,
                 backoff_base: std::time::Duration::from_micros(100),
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(3)
+        }
+        .flink();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ranks(&env, &g, 8)))
             .expect_err("every replay ships another rotten batch");
         assert!(payload.downcast_ref::<IntegrityError>().is_some());

@@ -37,6 +37,7 @@ pub mod runtime;
 pub mod sampler;
 pub mod shuffle;
 pub mod sortbuf;
+pub mod setup;
 pub mod spark;
 pub mod streaming;
 
@@ -49,6 +50,7 @@ pub use iterate::{
 pub use flowmark_core::config::{EngineConfig, ExecutorMode, PartitionerChoice};
 pub use metrics::{EngineMetrics, MetricsSnapshot, RecoverySnapshot};
 pub use runtime::{CachedStage, FragmentHandle};
+pub use setup::Setup;
 pub use shuffle::ShuffleBatch;
 pub use spark::{Rdd, SparkContext};
 pub use streaming::{

@@ -115,9 +115,9 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub rows_selected: u64,
     /// Points assigned to a centroid by the vectorized K-Means
-    /// `assign_accumulate` kernel (flat dim-major scan) — zero on the
-    /// record-at-a-time adapter, so tests can pin which path ran;
-    /// `default` keeps BENCH_PR6/PR7 artifacts parseable.
+    /// `assign_accumulate` kernel (flat dim-major scan), so tests can pin
+    /// that the kernel ran; `default` keeps BENCH_PR6/PR7 artifacts
+    /// parseable.
     #[serde(default)]
     pub points_assigned_vectorized: u64,
     /// Sorted runs produced by the LSD `radix_sort_u64` kernel instead of

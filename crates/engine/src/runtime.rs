@@ -144,6 +144,7 @@ pub fn fragment_store<B>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Setup;
     use flowmark_columnar::StrU64Batch;
 
     /// The pooled stage agrees with running the same tasks inline, in
@@ -233,8 +234,6 @@ mod tests {
     #[test]
     fn a_saturated_pool_cannot_starve_a_job() {
         use crate::faults::{FaultConfig, FaultPlan};
-        use crate::flink::FlinkEnv;
-        use crate::spark::SparkContext;
         use flowmark_core::config::EngineConfig;
         use std::collections::BTreeMap;
 
@@ -255,7 +254,7 @@ mod tests {
                     FaultPlan::disabled()
                 }
             };
-            let sc = SparkContext::with_config_and_faults(&config, plan());
+            let sc = Setup { faults: plan(), ..Setup::from(config) }.spark();
             let mut staged = sc
                 .parallelize(pairs.clone(), parts)
                 .reduce_by_key(|a, b| *a += b)
@@ -263,7 +262,7 @@ mod tests {
             staged.sort_unstable();
             assert_eq!(staged, expect, "staged, chaos={chaos}");
 
-            let env = FlinkEnv::with_config_and_faults(&config, plan());
+            let env = Setup { faults: plan(), ..Setup::from(config) }.flink();
             let mut pipelined = env
                 .from_collection(pairs.clone())
                 .group_reduce(|a, b| *a += b)

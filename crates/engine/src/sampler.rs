@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn sampler_captures_a_real_run() {
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let sampler = Sampler::start(sc.metrics().clone(), Duration::from_millis(20));
         // A real job with a shuffle, big enough to span several samples.
         let lines = TextGen::new(TextGenConfig::default(), 3).lines(60_000);

@@ -37,6 +37,7 @@ use crate::faults::{
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::metrics::EngineMetrics;
 use crate::runtime::{self, FragmentHandle};
+use crate::setup::Setup;
 use crate::shuffle::{
     corrupt_one, exchange, partition_combine, partition_records, seal, verify, Materialised,
     Partition, Sealed, ShuffleBatch,
@@ -70,63 +71,54 @@ pub struct SparkContext {
 }
 
 impl SparkContext {
-    /// Creates a context with a storage-cache budget and default
-    /// parallelism (`spark.default.parallelism`); every other knob takes
-    /// its [`EngineConfig`] default.
-    pub fn new(default_parallelism: usize, cache_bytes: u64) -> Self {
-        Self::with_faults(default_parallelism, cache_bytes, FaultPlan::disabled())
+    /// A context at `default_parallelism` (`spark.default.parallelism`);
+    /// every other knob takes its [`EngineConfig`] default. Short for
+    /// `Setup::new(default_parallelism).spark()`.
+    pub fn new(default_parallelism: usize) -> Self {
+        Setup::new(default_parallelism).spark()
     }
 
-    /// Like [`SparkContext::new`], but tasks run under `faults`: injected
-    /// (and real) task panics are recovered by lineage re-execution —
-    /// recomputing only the lost partition, reusing persisted ancestors
-    /// from the block cache — and stragglers race speculative backups.
-    pub fn with_faults(
-        default_parallelism: usize,
-        cache_bytes: u64,
-        faults: FaultPlan,
-    ) -> Self {
-        let config = EngineConfig {
-            parallelism: default_parallelism,
-            cache_bytes,
-            ..EngineConfig::default()
-        };
-        Self::with_config_and_faults(&config, faults)
-    }
-
-    /// The unified constructor: every knob comes from one serializable
-    /// [`EngineConfig`] (the surface `flowmark-tune` searches).
+    /// Short for `Setup::from(*config).spark()`.
     pub fn with_config(config: &EngineConfig) -> Self {
-        Self::with_config_and_faults(config, FaultPlan::disabled())
+        Setup::from(*config).spark()
     }
 
-    /// [`SparkContext::with_config`] plus a fault-injection plan.
-    pub fn with_config_and_faults(config: &EngineConfig, faults: FaultPlan) -> Self {
-        Self::with_config_faults_cancel(config, faults, CancelToken::new())
-    }
-
-    /// The full constructor: config, fault plan, and a job-level
-    /// [`CancelToken`]. Setting the token tears down any in-flight action
-    /// on this context (tasks unwind with a
-    /// [`crate::faults::JobCancelled`] payload).
+    /// Short for a [`Setup`] with these three fields and no fragment cache.
     pub fn with_config_faults_cancel(
         config: &EngineConfig,
         faults: FaultPlan,
         cancel: CancelToken,
     ) -> Self {
+        Setup {
+            faults,
+            cancel,
+            ..Setup::from(*config)
+        }
+        .spark()
+    }
+
+    /// Builds a context from `setup`. Tasks run under its fault plan:
+    /// injected (and real) task panics are recovered by lineage
+    /// re-execution — recomputing only the lost partition, reusing
+    /// persisted ancestors from the block cache — and stragglers race
+    /// speculative backups. Setting its cancel token tears down any
+    /// in-flight action (tasks unwind with a
+    /// [`crate::faults::JobCancelled`] payload).
+    pub(crate) fn build(setup: &Setup) -> Self {
+        let config = setup.config;
         config.validate().expect("invalid engine config");
         Self {
             inner: Arc::new(CtxInner {
                 cache: BlockCache::new(config.cache_bytes),
                 metrics: EngineMetrics::new(),
                 next_id: AtomicUsize::new(0),
-                config: *config,
+                config,
                 trace: Mutex::new(PlanTrace::new()),
                 start: Instant::now(),
-                faults,
+                faults: setup.faults.clone(),
                 stage_stats: StageStats::new(),
-                cancel,
-                fragment: Mutex::new(None),
+                cancel: setup.cancel.clone(),
+                fragment: Mutex::new(setup.fragment.clone()),
             }),
         }
     }
@@ -1109,7 +1101,7 @@ mod tests {
     use super::*;
 
     fn ctx() -> SparkContext {
-        SparkContext::new(4, 64 << 20)
+        SparkContext::new(4)
     }
 
     #[test]
@@ -1447,15 +1439,15 @@ mod tests {
             .reduce_by_key(|a, b| *a += b)
             .collect_as_map();
 
-        let sc = SparkContext::with_faults(
-            4,
-            64 << 20,
-            FaultPlan::new(FaultConfig {
+        let sc = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 11,
                 task_failure_prob: 0.5,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .spark();
         let faulted = sc
             .parallelize(pairs, 4)
             .reduce_by_key(|a, b| *a += b)
@@ -1476,15 +1468,15 @@ mod tests {
         // Kill every first attempt of every task: the persisted parent's
         // tasks retry once and cache; the child's retries then hit the
         // cache instead of recomputing the parent partitions.
-        let sc = SparkContext::with_faults(
-            2,
-            64 << 20,
-            FaultPlan::new(FaultConfig {
+        let sc = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 5,
                 task_failure_prob: 1.0,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(2)
+        }
+        .spark();
         let parent = sc
             .parallelize((0..100u64).collect::<Vec<_>>(), 2)
             .map(|x| x * 2)
@@ -1528,15 +1520,15 @@ mod tests {
     #[test]
     fn batch_exchange_detects_and_recovers_from_corruption() {
         use crate::faults::{FaultConfig, FaultPlan};
-        let sc = SparkContext::with_faults(
-            4,
-            64 << 20,
-            FaultPlan::new(FaultConfig {
+        let sc = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 11,
                 corrupt_first_n: 1,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .spark();
         let rdd = routed_batches(&sc, 160, 4);
         let mut all: Vec<u64> = rdd.collect().into_iter().flatten().collect();
         all.sort_unstable();
@@ -1554,16 +1546,16 @@ mod tests {
         use std::panic::AssertUnwindSafe;
         // A budget far above max_attempts × map tasks keeps injection armed
         // through every retry, so the exchange must escalate.
-        let sc = SparkContext::with_faults(
-            4,
-            64 << 20,
-            FaultPlan::new(FaultConfig {
+        let sc = Setup {
+            faults: FaultPlan::new(FaultConfig {
                 seed: 13,
                 corrupt_first_n: 1_000,
                 max_attempts: 3,
                 ..FaultConfig::default()
             }),
-        );
+            ..Setup::new(4)
+        }
+        .spark();
         let rdd = routed_batches(&sc, 160, 4);
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| rdd.collect()))
             .expect_err("unrecoverable corruption must fail the job");

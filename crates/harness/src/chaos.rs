@@ -11,11 +11,10 @@
 //! answer exactly. The per-cell recovery counters are the paper-facing
 //! artifact: they show *which* mechanism each engine used to survive.
 
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::metrics::{EngineMetrics, RecoverySnapshot};
-use flowmark_engine::spark::SparkContext;
-use flowmark_engine::{FaultConfig, FaultPlan};
-use flowmark_workloads::cell::{Cell, Engine, Sizes, Verdict};
+use flowmark_core::config::Framework;
+use flowmark_engine::metrics::RecoverySnapshot;
+use flowmark_engine::{FaultConfig, FaultPlan, Setup};
+use flowmark_workloads::cell::{Cell, Run, Sizes};
 use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -149,18 +148,13 @@ pub struct ChaosReport {
     pub cells: Vec<ChaosCell>,
 }
 
-fn drilled(
-    workload: Workload,
-    engine: &str,
-    verdict: Verdict,
-    metrics: &EngineMetrics,
-) -> ChaosCell {
+fn drilled(workload: Workload, engine: Framework, run: Run) -> ChaosCell {
     ChaosCell {
         workload: workload.name().into(),
-        engine: engine.into(),
-        verified: verdict.is_verified(),
-        batches_processed: metrics.snapshot().batches_processed,
-        recovery: metrics.recovery(),
+        engine: engine.name().to_lowercase(),
+        verified: run.verdict.is_verified(),
+        batches_processed: run.metrics.batches_processed,
+        recovery: run.metrics.recovery,
     }
 }
 
@@ -174,12 +168,13 @@ pub fn run_chaos(config: ChaosConfig, scale: ChaosScale) -> ChaosReport {
         // Only cells on the columnar batch path have sealed bytes for the
         // corruption preset to rot.
         let batch = BATCH_MIGRATED.contains(&workload.name());
-        let sc = SparkContext::with_faults(parts, 256 << 20, config.plan(2 * i, batch));
-        let verdict = cell.run(Engine::Spark(&sc));
-        cells.push(drilled(workload, "spark", verdict, sc.metrics()));
-        let env = FlinkEnv::with_faults(parts, config.plan(2 * i + 1, batch));
-        let verdict = cell.run(Engine::Flink(&env));
-        cells.push(drilled(workload, "flink", verdict, env.metrics()));
+        for (j, engine) in (0u64..).zip(Framework::BOTH) {
+            let setup = Setup {
+                faults: config.plan(2 * i + j, batch),
+                ..Setup::new(parts)
+            };
+            cells.push(drilled(workload, engine, cell.run(engine, &setup)));
+        }
     }
 
     ChaosReport {

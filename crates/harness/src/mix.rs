@@ -23,12 +23,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::spark::SparkContext;
-use flowmark_engine::FaultPlan;
+use flowmark_engine::{FragmentHandle, Setup};
 use flowmark_sched::{FragmentCache, FragmentKey};
 use flowmark_serve::{HealthSnapshot, JobRequest, JobService, Resolution};
-use flowmark_workloads::cell::{Cell, Engine, Sizes};
+use flowmark_workloads::cell::{Cell, Sizes};
 use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
 
@@ -298,43 +296,33 @@ fn job_body(
     cell: &Arc<Cell>,
     engine: Framework,
     config: EngineConfig,
-    cache: Option<(Arc<FragmentCache>, FragmentKey)>,
+    fragment: Option<FragmentHandle>,
     shared: &Arc<PassShared>,
     submitted: Instant,
 ) -> flowmark_serve::JobFn {
     let cell = Arc::clone(cell);
     let shared = Arc::clone(shared);
     Arc::new(move |_, cancel| {
-        let plan = FaultPlan::disabled();
-        let (verdict, snapshot) = match engine {
-            Framework::Spark => {
-                let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-                if let Some((cache, key)) = &cache {
-                    sc.register_fragment(Arc::clone(cache), *key);
-                }
-                (cell.run(Engine::Spark(&sc)), sc.metrics().snapshot())
-            }
-            Framework::Flink => {
-                let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-                if let Some((cache, key)) = &cache {
-                    env.register_fragment(Arc::clone(cache), *key);
-                }
-                (cell.run(Engine::Flink(&env)), env.metrics().snapshot())
-            }
+        let setup = Setup {
+            cancel: cancel.clone(),
+            fragment: fragment.clone(),
+            ..Setup::from(config)
         };
+        let run = cell.run(engine, &setup);
         shared
             .tasks_stolen
-            .fetch_add(snapshot.tasks_stolen, Ordering::Relaxed);
+            .fetch_add(run.metrics.tasks_stolen, Ordering::Relaxed);
         shared
             .engine_queue_wait_micros
-            .fetch_add(snapshot.queue_wait_micros, Ordering::Relaxed);
+            .fetch_add(run.metrics.queue_wait_micros, Ordering::Relaxed);
         shared
             .fragment_cache_hits
-            .fetch_add(snapshot.fragment_cache_hits, Ordering::Relaxed);
+            .fetch_add(run.metrics.fragment_cache_hits, Ordering::Relaxed);
         if let Ok(mut lat) = shared.latencies_ms.lock() {
             lat.push(submitted.elapsed().as_secs_f64() * 1e3);
         }
-        verdict.into_result(&format!("{}/{engine:?}", cell.workload().name()))
+        run.verdict
+            .into_result(&format!("{}/{engine:?}", cell.workload().name()))
     })
 }
 

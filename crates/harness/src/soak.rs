@@ -22,16 +22,14 @@ use std::time::Duration;
 use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
 use flowmark_datagen::nexmark::{generate, NexmarkConfig};
 use flowmark_engine::faults::check_cancelled;
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::spark::SparkContext;
 use flowmark_engine::streaming::{
     run_continuous_checkpointed, run_micro_batch_checkpointed, SourceConfig, StreamJobConfig,
 };
-use flowmark_engine::{CancelToken, EngineMetrics, FaultConfig, FaultPlan};
+use flowmark_engine::{CancelToken, EngineMetrics, FaultConfig, FaultPlan, Setup};
 use flowmark_serve::{
     BreakerState, HealthSnapshot, JobRequest, JobService, LivenessSlo, Rejected, Resolution,
 };
-use flowmark_workloads::cell::{Cell, Engine, Sizes};
+use flowmark_workloads::cell::{Cell, Sizes};
 use flowmark_workloads::stream::{canonical, nexmark_source, q6_operator, q6_oracle, route_nexmark};
 use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
@@ -251,28 +249,12 @@ impl SoakReport {
     }
 }
 
-/// Runs `cell` on one engine under the given fault plan and the job's
-/// cancel token. `Err` means a divergence (the message says "diverged") or
-/// an engine-fatal error (the message carries its text).
-fn run_cell(
-    cell: &Cell,
-    engine: Framework,
-    parts: usize,
-    plan: FaultPlan,
-    cancel: &CancelToken,
-) -> Result<(), String> {
-    let config = EngineConfig::with_parallelism(parts);
-    let verdict = match engine {
-        Framework::Spark => {
-            let sc = SparkContext::with_config_faults_cancel(&config, plan, cancel.clone());
-            cell.run(Engine::Spark(&sc))
-        }
-        Framework::Flink => {
-            let env = FlinkEnv::with_config_faults_cancel(&config, plan, cancel.clone());
-            cell.run(Engine::Flink(&env))
-        }
-    };
-    verdict.into_result(&format!("{}/{engine:?}", cell.workload().name()))
+/// Runs `cell` on one engine built from `setup`. `Err` means a divergence
+/// (the message says "diverged") or an engine-fatal error (the message
+/// carries its text).
+fn run_cell(cell: &Cell, engine: Framework, setup: &Setup) -> Result<(), String> {
+    let what = format!("{}/{engine:?}", cell.workload().name());
+    cell.run(engine, setup).verdict.into_result(&what)
 }
 
 /// A job body that sleeps cooperatively until cancelled (by deadline or
@@ -692,12 +674,17 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
             EngineConfig::with_parallelism(parts),
             Arc::new(move |attempt, cancel: &CancelToken| {
                 let seed = plan_seed.wrapping_add(u64::from(attempt) << 32);
-                let plan = FaultPlan::new(if corrupt {
+                let faults = FaultPlan::new(if corrupt {
                     FaultConfig::corruption(seed)
                 } else {
                     FaultConfig::chaos(seed)
                 });
-                run_cell(&cell, engine, parts, plan, cancel)
+                let setup = Setup {
+                    faults,
+                    cancel: cancel.clone(),
+                    ..Setup::new(parts)
+                };
+                run_cell(&cell, engine, &setup)
             }),
         );
         if let Some(h) = submit(&mut report, &service, job) {
@@ -720,13 +707,11 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
                 if attempt == 0 {
                     return Err("first attempt poisoned (injected)".into());
                 }
-                run_cell(
-                    &cell,
-                    Framework::Spark,
-                    parts,
-                    FaultPlan::disabled(),
-                    cancel,
-                )
+                let setup = Setup {
+                    cancel: cancel.clone(),
+                    ..Setup::new(parts)
+                };
+                run_cell(&cell, Framework::Spark, &setup)
             }),
         );
         if let Some(h) = submit(&mut report, &service, job) {

@@ -9,9 +9,8 @@ use flowmark_engine::faults::CancelToken;
 
 /// The work a job performs: called once per attempt with the attempt
 /// number and the job-level cancellation token. The closure builds its own
-/// engine context (threading the token into
-/// `SparkContext::with_config_faults_cancel` /
-/// `FlinkEnv::with_config_faults_cancel`), runs the workload, verifies the
+/// engine context (threading the token into the `cancel` field of a
+/// `flowmark_engine::Setup`), runs the workload, verifies the
 /// result, and returns `Err` with a message on a detected divergence.
 /// Panics unwinding out of the closure are caught by the worker and
 /// classified: a `JobCancelled` payload resolves the job as cancelled or

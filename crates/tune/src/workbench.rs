@@ -10,9 +10,8 @@
 use std::collections::HashMap;
 
 use flowmark_core::config::{EngineConfig, Framework};
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::spark::SparkContext;
-use flowmark_workloads::cell::{Cell, Engine, Sizes};
+use flowmark_engine::Setup;
+use flowmark_workloads::cell::{Cell, Sizes};
 use flowmark_workloads::Workload;
 
 use crate::search::{Budget, Measure, Measurement};
@@ -46,25 +45,13 @@ impl Measure for Workbench {
             let prefix = self.cells[&self.full].prefix(n);
             self.cells.insert(n, prefix);
         }
-        let cell = &self.cells[&n];
-        let (verdict, elapsed, metrics, trace) = match self.engine {
-            Framework::Spark => {
-                let sc = SparkContext::with_config(config);
-                let (verdict, elapsed) = cell.run_timed(Engine::Spark(&sc));
-                (verdict, elapsed, sc.metrics().snapshot(), sc.trace())
-            }
-            Framework::Flink => {
-                let env = FlinkEnv::with_config(config);
-                let (verdict, elapsed) = cell.run_timed(Engine::Flink(&env));
-                (verdict, elapsed, env.metrics().snapshot(), env.trace())
-            }
-        };
+        let run = self.cells[&n].run(self.engine, &Setup::from(*config));
         Measurement {
-            seconds: elapsed.as_secs_f64().max(1e-9),
+            seconds: run.elapsed.as_secs_f64().max(1e-9),
             records: n as u64,
-            verified: verdict.is_verified(),
-            metrics,
-            trace,
+            verified: run.verdict.is_verified(),
+            metrics: run.metrics,
+            trace: run.trace,
         }
     }
 }

@@ -2,22 +2,25 @@
 //!
 //! A [`Cell`] is one workload's input, generated from fixed seeds and
 //! recipes, together with its sequential oracle's answer. [`Cell::run`]
-//! executes the workload on whatever engine context the caller hands it and
-//! says whether the answer is right. The context stays the caller's: the
+//! builds either engine from the caller's [`Setup`], runs the workload on
+//! it and says whether the answer is right, with the context's counters and
+//! spans beside the verdict. The setup is where the drills differ: the
 //! chaos drill arms a fault plan, the soak passes a job's cancel token, the
-//! mix registers a fragment-cache key and the tuner passes its candidate
-//! config. The cell only needs the context's parallelism.
+//! mix attaches a fragment-cache key and the tuner passes its candidate
+//! config.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use flowmark_core::config::Framework;
+use flowmark_core::spans::PlanTrace;
 use flowmark_datagen::graph::{Edge, RmatGen, RmatParams};
 use flowmark_datagen::points::{Point, PointsConfig, PointsGen};
 use flowmark_datagen::terasort::{Record, TeraGen};
 use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::spark::SparkContext;
-use flowmark_engine::IterationError;
+use flowmark_engine::{IterationError, MetricsSnapshot, Setup};
 
 use crate::connected::{self, CcVariant};
 use crate::{grep, kmeans, pagerank, terasort, wordcount, Workload};
@@ -40,22 +43,17 @@ pub struct Sizes {
     pub rounds: u32,
 }
 
-/// The engine context a cell runs on, built by the caller.
-#[derive(Clone, Copy)]
-pub enum Engine<'a> {
-    /// The staged engine.
-    Spark(&'a SparkContext),
-    /// The pipelined engine.
-    Flink(&'a FlinkEnv),
-}
-
-impl Engine<'_> {
-    fn parallelism(self) -> usize {
-        match self {
-            Engine::Spark(sc) => sc.default_parallelism(),
-            Engine::Flink(env) => env.parallelism(),
-        }
-    }
+/// What one run of a cell produced.
+#[derive(Debug)]
+pub struct Run {
+    /// Whether the answer was right.
+    pub verdict: Verdict,
+    /// How long the engine call took.
+    pub elapsed: Duration,
+    /// The context's counters after the run.
+    pub metrics: MetricsSnapshot,
+    /// The context's operator spans.
+    pub trace: PlanTrace,
 }
 
 /// What one run of a cell proved.
@@ -279,62 +277,77 @@ impl Cell {
         self.len() == 0
     }
 
-    /// Runs the workload on `engine` and checks the answer.
-    pub fn run(&self, engine: Engine<'_>) -> Verdict {
-        self.run_timed(engine).0
-    }
-
-    /// [`Cell::run`], also returning how long the engine call took. The
+    /// Builds `engine` from `setup`, runs the workload on it and checks the
+    /// answer. Only the engine call is timed: the context is built and the
     /// input copy the engine consumes is made before the clock starts, and
     /// the oracle comparison happens after it stops.
-    pub fn run_timed(&self, engine: Engine<'_>) -> (Verdict, Duration) {
-        let parts = engine.parallelism();
-        let rounds = self.rounds;
+    pub fn run(&self, engine: Framework, setup: &Setup) -> Run {
         let input = self.input.clone();
-        let start = Instant::now();
-        let out = match (input, engine) {
-            (Input::WordCount(lines), Engine::Spark(sc)) => {
-                Ok(Answer::Counts(wordcount::run_spark(sc, lines, parts)))
+        let (out, elapsed, metrics, trace) = match engine {
+            Framework::Spark => {
+                let sc = setup.spark();
+                let start = Instant::now();
+                let out = Ok(self.on_spark(&sc, input));
+                (out, start.elapsed(), sc.metrics().snapshot(), sc.trace())
             }
-            (Input::WordCount(lines), Engine::Flink(env)) => {
-                Ok(Answer::Counts(wordcount::run_flink(env, lines)))
-            }
-            (Input::Grep { lines, needle }, Engine::Spark(sc)) => {
-                Ok(Answer::Count(grep::run_spark(sc, lines, &needle, parts)))
-            }
-            (Input::Grep { lines, needle }, Engine::Flink(env)) => {
-                Ok(Answer::Count(grep::run_flink(env, lines, &needle)))
-            }
-            (Input::TeraSort(records), Engine::Spark(sc)) => {
-                Ok(Answer::Sorted(terasort::run_spark(sc, records, parts)))
-            }
-            (Input::TeraSort(records), Engine::Flink(env)) => {
-                Ok(Answer::Sorted(terasort::run_flink(env, records, parts)))
-            }
-            (Input::KMeans { points, init }, Engine::Spark(sc)) => Ok(Answer::Centers(
-                kmeans::run_spark(sc, points, init, rounds, parts),
-            )),
-            (Input::KMeans { points, init }, Engine::Flink(env)) => Ok(Answer::Centers(
-                kmeans::run_flink(env, points, init, rounds),
-            )),
-            (Input::PageRank(edges), Engine::Spark(sc)) => Ok(Answer::Ranks(pagerank::run_spark(
-                sc, &edges, rounds, parts,
-            ))),
-            (Input::PageRank(edges), Engine::Flink(env)) => {
-                pagerank::run_flink(env, &edges, rounds, parts).map(Answer::Ranks)
-            }
-            (Input::Connected(edges), Engine::Spark(sc)) => Ok(Answer::Labels(
-                connected::run_spark(sc, &edges, CC_MAX_ROUNDS, parts),
-            )),
-            // The delta variant exercises the vertex-centric solution-set
-            // snapshot/restore path.
-            (Input::Connected(edges), Engine::Flink(env)) => {
-                connected::run_flink(env, &edges, CC_MAX_ROUNDS, parts, CcVariant::Delta, None)
-                    .map(Answer::Labels)
+            Framework::Flink => {
+                let env = setup.flink();
+                let start = Instant::now();
+                let out = self.on_flink(&env, input);
+                (out, start.elapsed(), env.metrics().snapshot(), env.trace())
             }
         };
-        let elapsed = start.elapsed();
-        (self.judge(out), elapsed)
+        Run {
+            verdict: self.judge(out),
+            elapsed,
+            metrics,
+            trace,
+        }
+    }
+
+    fn on_spark(&self, sc: &SparkContext, input: Input) -> Answer {
+        let (parts, rounds) = (sc.default_parallelism(), self.rounds);
+        match input {
+            Input::WordCount(lines) => Answer::Counts(wordcount::run_spark(sc, lines, parts)),
+            Input::Grep { lines, needle } => {
+                Answer::Count(grep::run_spark(sc, lines, &needle, parts))
+            }
+            Input::TeraSort(records) => Answer::Sorted(terasort::run_spark(sc, records, parts)),
+            Input::KMeans { points, init } => {
+                Answer::Centers(kmeans::run_spark(sc, points, init, rounds, parts))
+            }
+            Input::PageRank(edges) => {
+                Answer::Ranks(pagerank::run_spark(sc, &edges, rounds, parts))
+            }
+            Input::Connected(edges) => {
+                Answer::Labels(connected::run_spark(sc, &edges, CC_MAX_ROUNDS, parts))
+            }
+        }
+    }
+
+    fn on_flink(&self, env: &FlinkEnv, input: Input) -> Result<Answer, IterationError> {
+        let (parts, rounds) = (env.parallelism(), self.rounds);
+        Ok(match input {
+            Input::WordCount(lines) => Answer::Counts(wordcount::run_flink(env, lines)),
+            Input::Grep { lines, needle } => Answer::Count(grep::run_flink(env, lines, &needle)),
+            Input::TeraSort(records) => Answer::Sorted(terasort::run_flink(env, records, parts)),
+            Input::KMeans { points, init } => {
+                Answer::Centers(kmeans::run_flink(env, points, init, rounds))
+            }
+            Input::PageRank(edges) => {
+                Answer::Ranks(pagerank::run_flink(env, &edges, rounds, parts)?)
+            }
+            // The delta variant exercises the vertex-centric solution-set
+            // snapshot/restore path.
+            Input::Connected(edges) => Answer::Labels(connected::run_flink(
+                env,
+                &edges,
+                CC_MAX_ROUNDS,
+                parts,
+                CcVariant::Delta,
+                None,
+            )?),
+        })
     }
 
     fn judge(&self, out: Result<Answer, IterationError>) -> Verdict {
@@ -376,18 +389,11 @@ mod tests {
     fn every_cell_verifies_on_both_clean_engines() {
         for workload in Workload::ALL {
             let cell = Cell::generate(workload, &tiny());
-            let sc = SparkContext::new(2, 64 << 20);
-            assert_eq!(
-                cell.run(Engine::Spark(&sc)),
-                Verdict::Verified,
-                "{workload:?} spark"
-            );
-            let env = FlinkEnv::new(2);
-            assert_eq!(
-                cell.run(Engine::Flink(&env)),
-                Verdict::Verified,
-                "{workload:?} flink"
-            );
+            for engine in Framework::BOTH {
+                let run = cell.run(engine, &Setup::new(2));
+                assert_eq!(run.verdict, Verdict::Verified, "{workload:?} {engine}");
+                assert!(run.metrics.tasks_launched > 0, "{workload:?} {engine}");
+            }
         }
     }
 
@@ -443,8 +449,9 @@ mod tests {
         let cell = Cell::generate(Workload::Grep, &tiny());
         let half = cell.prefix(50);
         assert_eq!(half.len(), 50);
-        let sc = SparkContext::new(2, 64 << 20);
-        assert_eq!(half.run(Engine::Spark(&sc)), Verdict::Verified);
+        let run = half.run(Framework::Spark, &Setup::new(2));
+        assert_eq!(run.verdict, Verdict::Verified);
+        assert_eq!(run.metrics.records_read, 50);
         assert_ne!(half.expect, cell.expect);
     }
 

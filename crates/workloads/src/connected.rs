@@ -186,7 +186,7 @@ mod tests {
     fn all_three_implementations_agree() {
         let edges = test_edges();
         let expect = oracle(&edges);
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let spark = run_spark(&sc, &edges, 200, 4);
         assert_eq!(spark, expect, "spark differs from union-find");
         let env = FlinkEnv::new(4);

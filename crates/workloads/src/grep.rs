@@ -164,28 +164,6 @@ pub fn run_flink(env: &FlinkEnv, lines: Vec<String>, needle: &str) -> u64 {
         .sum()
 }
 
-/// Runs Grep on the staged engine record-at-a-time (the pre-columnar plan,
-/// kept as the scalar reference for parity tests).
-pub fn run_spark_records(
-    sc: &SparkContext,
-    lines: Vec<String>,
-    needle: &str,
-    partitions: usize,
-) -> u64 {
-    let needle = needle.to_owned();
-    sc.parallelize(lines, partitions)
-        .filter(move |line| line.contains(&needle))
-        .count()
-}
-
-/// Runs Grep on the pipelined engine record-at-a-time (scalar reference).
-pub fn run_flink_records(env: &FlinkEnv, lines: Vec<String>, needle: &str) -> u64 {
-    let needle = needle.to_owned();
-    env.from_collection(lines)
-        .filter(move |line| line.contains(&needle))
-        .count()
-}
-
 /// Sequential oracle.
 pub fn oracle(lines: &[String], needle: &str) -> u64 {
     lines.iter().filter(|l| l.contains(needle)).count() as u64
@@ -206,7 +184,7 @@ mod tests {
         let lines = TextGen::new(config, 3).lines(3000);
         let expect = oracle(&lines, &needle);
         assert!(expect > 0, "corpus must contain matches");
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         assert_eq!(run_spark(&sc, lines.clone(), &needle, 4), expect);
         let env = FlinkEnv::new(4);
         assert_eq!(run_flink(&env, lines, &needle), expect);
@@ -215,6 +193,7 @@ mod tests {
     #[test]
     fn sealed_source_corruption_recovers_on_both_engines() {
         use flowmark_engine::faults::{install_quiet_hook, FaultConfig};
+        use flowmark_engine::Setup;
         install_quiet_hook();
         let config = TextGenConfig {
             needle_selectivity: 0.05,
@@ -231,14 +210,14 @@ mod tests {
             })
         };
 
-        let sc = SparkContext::with_faults(4, 64 << 20, plan(41));
+        let sc = Setup { faults: plan(41), ..Setup::new(4) }.spark();
         assert_eq!(run_spark(&sc, lines.clone(), &needle, 4), expect);
         let rec = sc.metrics().recovery();
         assert!(rec.corruptions_detected >= 1, "spark must detect the rot");
         assert!(rec.integrity_recomputes >= 1, "spark recovers by recompute");
         assert_eq!(rec.region_restarts, 0);
 
-        let env = FlinkEnv::with_faults(4, plan(43));
+        let env = Setup { faults: plan(43), ..Setup::new(4) }.flink();
         assert_eq!(run_flink(&env, lines, &needle), expect);
         let rec = env.metrics().recovery();
         assert!(rec.corruptions_detected >= 1, "flink must detect the rot");

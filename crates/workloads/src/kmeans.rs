@@ -201,8 +201,8 @@ fn assign_partition(
 /// Runs K-Means on the staged engine: driver loop over a persisted RDD of
 /// dim-major column batches. Each map task folds its whole partition
 /// through [`kernels::assign_accumulate`] and ships exactly `k`
-/// `(center, sum)` triples into the `reduceByKey` exchange — the per-point
-/// tuple stream of [`run_spark_records`] never materialises.
+/// `(center, sum)` triples into the `reduceByKey` exchange — no per-point
+/// tuple stream ever materialises.
 pub fn run_spark(
     sc: &SparkContext,
     points: Vec<Point>,
@@ -213,7 +213,7 @@ pub fn run_spark(
     let k = centers.len();
     // Chunk points per partition exactly like `parallelize` would, then
     // batch within each chunk, so partition boundaries (and the per-
-    // partition fold order) match the record path.
+    // partition fold order) match the pipelined engine's.
     let chunk = points.len().div_ceil(partitions).max(1);
     let parts: Vec<Vec<F64Batch>> = points.chunks(chunk).map(batch_points).collect();
     let metrics = sc.metrics().clone();
@@ -240,39 +240,6 @@ pub fn run_spark(
                     .enumerate()
                     .collect::<Vec<(usize, (f64, f64, u64))>>()
             })
-            .reduce_by_key(|a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-                a.2 += b.2;
-            })
-            .collect_as_map();
-        let mut partial = Partial::new(k);
-        for (c, (x, y, n)) in sums {
-            partial.sums[c] = (x, y, n);
-        }
-        centers = partial.centers(&centers);
-        sc.metrics().add_iterations_run(1);
-    }
-    centers
-}
-
-/// Runs K-Means on the staged engine record-at-a-time (the pre-columnar
-/// plan, kept as the scalar reference for parity tests).
-pub fn run_spark_records(
-    sc: &SparkContext,
-    points: Vec<Point>,
-    mut centers: Vec<Point>,
-    iterations: u32,
-    partitions: usize,
-) -> Vec<Point> {
-    let k = centers.len();
-    let rdd = sc
-        .parallelize(points, partitions)
-        .persist(StorageLevel::MemoryOnly);
-    for _ in 0..iterations {
-        let current = centers.clone();
-        let assigned = rdd.map(move |p| (nearest(&current, p), (p.x, p.y, 1u64)));
-        let sums = assigned
             .reduce_by_key(|a, b| {
                 a.0 += b.0;
                 a.1 += b.1;
@@ -345,56 +312,6 @@ pub fn run_flink(
     result.centers
 }
 
-/// Runs K-Means on the pipelined engine record-at-a-time (scalar
-/// reference).
-pub fn run_flink_records(
-    env: &FlinkEnv,
-    points: Vec<Point>,
-    centers: Vec<Point>,
-    iterations: u32,
-) -> Vec<Point> {
-    let k = centers.len();
-    let parallelism = env.parallelism();
-    let chunk = points.len().div_ceil(parallelism).max(1);
-    let parts: Vec<Vec<Point>> = points.chunks(chunk).map(<[Point]>::to_vec).collect();
-    let state = KState {
-        centers,
-        partial: None,
-    };
-    let result = bulk_iterate(
-        env,
-        parts,
-        state,
-        iterations,
-        |s, part| {
-            let mut partial = Partial::new(k);
-            for p in part {
-                partial.add(nearest(&s.centers, p), p);
-            }
-            KState {
-                centers: s.centers.clone(),
-                partial: Some(partial),
-            }
-        },
-        |a, b| KState {
-            centers: a.centers,
-            partial: match (a.partial, b.partial) {
-                (Some(x), Some(y)) => Some(x.merge(y)),
-                (x, y) => x.or(y),
-            },
-        },
-        |s| KState {
-            centers: s
-                .partial
-                .as_ref()
-                .map(|p| p.centers(&s.centers))
-                .unwrap_or(s.centers),
-            partial: None,
-        },
-    );
-    result.centers
-}
-
 /// Sequential oracle.
 pub fn oracle(points: &[Point], mut centers: Vec<Point>, iterations: u32) -> Vec<Point> {
     let k = centers.len();
@@ -445,7 +362,7 @@ mod tests {
     fn both_engines_match_the_oracle() {
         let (points, init) = dataset(4000);
         let expect = oracle(&points, init.clone(), 10);
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let spark = run_spark(&sc, points.clone(), init.clone(), 10, 4);
         assert!(close_points(&spark, &expect, 1e-9), "spark drifted");
         let env = FlinkEnv::new(4);
@@ -453,50 +370,43 @@ mod tests {
         assert!(close_points(&flink, &expect, 1e-9), "flink drifted");
     }
 
-    /// Batch-vs-record parity, iteration by iteration: running `i`
-    /// iterations through the vectorized path must land on the same
-    /// centroids as the record adapters (identical assignment decisions;
-    /// summation order differs only across partition merges, hence the
-    /// tight float tolerance rather than bit equality).
+    /// The batch path against the oracle, iteration by iteration: running
+    /// `i` iterations through the vectorized kernel must land on the
+    /// oracle's centroids (identical assignment decisions; summation order
+    /// differs only across partition merges, hence the tight float
+    /// tolerance rather than bit equality), with every point assigned by
+    /// the kernel.
     #[test]
     fn batch_path_matches_record_adapters_each_iteration() {
         let (points, init) = dataset(3000);
         for iters in 1..=4u32 {
-            let sc_b = SparkContext::new(4, 64 << 20);
-            let batch = run_spark(&sc_b, points.clone(), init.clone(), iters, 4);
-            let sc_r = SparkContext::new(4, 64 << 20);
-            let record = run_spark_records(&sc_r, points.clone(), init.clone(), iters, 4);
+            let expect = oracle(&points, init.clone(), iters);
+            let sc = SparkContext::new(4);
+            let batch = run_spark(&sc, points.clone(), init.clone(), iters, 4);
             assert!(
-                close_points(&batch, &record, 1e-9),
-                "spark batch/record diverged at iteration {iters}"
+                close_points(&batch, &expect, 1e-9),
+                "spark batch path diverged at iteration {iters}"
             );
             assert!(
-                sc_b.metrics().points_assigned_vectorized() >= iters as u64 * 3000,
+                sc.metrics().points_assigned_vectorized() >= iters as u64 * 3000,
                 "batch path must assign every point through the kernel"
             );
-            assert_eq!(
-                sc_r.metrics().points_assigned_vectorized(),
-                0,
-                "record adapter must stay off the vectorized path"
-            );
 
-            let env_b = FlinkEnv::new(4);
-            let fbatch = run_flink(&env_b, points.clone(), init.clone(), iters);
-            let env_r = FlinkEnv::new(4);
-            let frecord = run_flink_records(&env_r, points.clone(), init.clone(), iters);
+            let env = FlinkEnv::new(4);
+            let fbatch = run_flink(&env, points.clone(), init.clone(), iters);
             assert!(
-                close_points(&fbatch, &frecord, 1e-9),
-                "flink batch/record diverged at iteration {iters}"
+                close_points(&fbatch, &expect, 1e-9),
+                "flink batch path diverged at iteration {iters}"
             );
-            assert!(env_b.metrics().points_assigned_vectorized() >= iters as u64 * 3000);
-            assert_eq!(env_r.metrics().points_assigned_vectorized(), 0);
+            assert!(env.metrics().points_assigned_vectorized() >= iters as u64 * 3000);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
-        /// Parity holds for arbitrary point clouds, center counts, and
-        /// partitionings — not just the Gaussian test dataset.
+        /// The batch path matches the oracle for arbitrary point clouds,
+        /// center counts, and partitionings — not just the Gaussian test
+        /// dataset.
         #[test]
         fn batch_record_parity_on_arbitrary_inputs(
             coords in proptest::collection::vec((-1000.0f64..1000.0, -1000.0f64..1000.0), 1..400),
@@ -511,16 +421,13 @@ mod tests {
                     Point { x: p.x + i_f(i), y: p.y - i_f(i) }
                 })
                 .collect();
-            let sc_b = SparkContext::new(partitions, 64 << 20);
-            let batch = run_spark(&sc_b, points.clone(), init.clone(), iters, partitions);
-            let sc_r = SparkContext::new(partitions, 64 << 20);
-            let record = run_spark_records(&sc_r, points.clone(), init.clone(), iters, partitions);
-            proptest::prop_assert!(close_points(&batch, &record, 1e-9), "spark diverged");
-            let env_b = FlinkEnv::new(partitions);
-            let fbatch = run_flink(&env_b, points.clone(), init.clone(), iters);
-            let env_r = FlinkEnv::new(partitions);
-            let frecord = run_flink_records(&env_r, points, init, iters);
-            proptest::prop_assert!(close_points(&fbatch, &frecord, 1e-9), "flink diverged");
+            let expect = oracle(&points, init.clone(), iters);
+            let sc = SparkContext::new(partitions);
+            let batch = run_spark(&sc, points.clone(), init.clone(), iters, partitions);
+            proptest::prop_assert!(close_points(&batch, &expect, 1e-9), "spark diverged");
+            let env = FlinkEnv::new(partitions);
+            let fbatch = run_flink(&env, points, init, iters);
+            proptest::prop_assert!(close_points(&fbatch, &expect, 1e-9), "flink diverged");
         }
     }
 
@@ -555,7 +462,7 @@ mod tests {
     #[test]
     fn flink_schedules_once_spark_unrolls() {
         let (points, init) = dataset(2000);
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let _ = run_spark(&sc, points.clone(), init.clone(), 8, 4);
         let env = FlinkEnv::new(4);
         let _ = run_flink(&env, points, init, 8);
@@ -568,7 +475,7 @@ mod tests {
     #[test]
     fn spark_cache_serves_iterations() {
         let (points, init) = dataset(1000);
-        let sc = SparkContext::new(2, 64 << 20);
+        let sc = SparkContext::new(2);
         let _ = run_spark(&sc, points, init, 5, 2);
         // Iterations 2..5 must hit the persisted points RDD.
         assert!(sc.metrics().cache_hits() >= 2 * 4);

@@ -311,7 +311,7 @@ mod tests {
     fn spark_aggregate_messages_loop_matches_oracle() {
         let edges = test_edges();
         let expect = oracle(&edges, 10);
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let spark = run_spark(&sc, &edges, 10, 4);
         assert!(ranks_close(&spark, &expect, 1e-9), "spark drifted");
     }

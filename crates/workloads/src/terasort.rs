@@ -269,51 +269,6 @@ pub fn run_flink(env: &FlinkEnv, records: Vec<Record>, partitions: usize) -> Vec
         .collect_partitions()
 }
 
-/// Runs TeraSort on the staged engine record-at-a-time (the pre-columnar
-/// plan, kept as the scalar reference for parity tests).
-pub fn run_spark_records(
-    sc: &SparkContext,
-    records: Vec<Record>,
-    partitions: usize,
-) -> Vec<Vec<Record>> {
-    let splits = sample_split_points(&records, partitions, 10_000);
-    let partitioner = std::sync::Arc::new(KeyRange::new(splits));
-    let keyed: Vec<([u8; KEY_BYTES], Record)> = records
-        .into_iter()
-        .map(|r| {
-            let mut k = [0u8; KEY_BYTES];
-            k.copy_from_slice(r.key());
-            (k, r)
-        })
-        .collect();
-    let rdd = sc
-        .parallelize(keyed, partitions)
-        .repartition_and_sort_within_partitions(partitioner);
-    rdd.collect_partitions()
-        .into_iter()
-        .map(|part| part.into_iter().map(|(_, r)| r).collect())
-        .collect()
-}
-
-/// Runs TeraSort on the pipelined engine record-at-a-time (scalar
-/// reference).
-pub fn run_flink_records(
-    env: &FlinkEnv,
-    records: Vec<Record>,
-    partitions: usize,
-) -> Vec<Vec<Record>> {
-    let splits = sample_split_points(&records, partitions, 10_000);
-    let partitioner = std::sync::Arc::new(KeyRange::new(splits));
-    env.from_collection(records)
-        .partition_custom(partitioner, |r: &Record| {
-            let mut k = [0u8; KEY_BYTES];
-            k.copy_from_slice(r.key());
-            k
-        })
-        .sort_partition(|a, b| a.key().cmp(b.key()))
-        .collect_partitions()
-}
-
 /// Sequential oracle: fully sorted records.
 pub fn oracle(mut records: Vec<Record>) -> Vec<Record> {
     records.sort();
@@ -351,7 +306,7 @@ mod tests {
         let records = TeraGen::new(11).records(5000);
         let expect = oracle(records.clone());
 
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let spark = run_spark(&sc, records.clone(), 8);
         validate_output(records.len(), &spark).unwrap();
         let spark_flat: Vec<Record> = spark.into_iter().flatten().collect();
@@ -370,37 +325,27 @@ mod tests {
         );
     }
 
+    /// Both engines' reduce sides sort through the radix kernel and return
+    /// the oracle's whole records in the oracle's order.
     #[test]
     fn radix_merge_counts_runs_and_matches_the_record_adapters() {
         let records = TeraGen::new(29).records(3000);
-        let expect_keys: Vec<Vec<u8>> = oracle(records.clone())
-            .iter()
-            .map(|r| r.key().to_vec())
-            .collect();
+        let expect = oracle(records.clone());
 
-        let sc = SparkContext::new(4, 64 << 20);
-        let batch: Vec<Vec<u8>> = run_spark(&sc, records.clone(), 4)
-            .into_iter()
-            .flatten()
-            .map(|r| r.key().to_vec())
-            .collect();
-        assert_eq!(batch, expect_keys);
+        let sc = SparkContext::new(4);
+        let spark: Vec<Record> = run_spark(&sc, records.clone(), 4).into_iter().flatten().collect();
+        assert!(spark == expect, "staged output differs from the oracle");
         assert!(
             sc.metrics().radix_sort_runs() > 0,
-            "batch path must sort through the radix kernel"
+            "staged reduce must sort through the radix kernel"
         );
 
-        let sc2 = SparkContext::new(4, 64 << 20);
-        let rec: Vec<Vec<u8>> = run_spark_records(&sc2, records.clone(), 4)
-            .into_iter()
-            .flatten()
-            .map(|r| r.key().to_vec())
-            .collect();
-        assert_eq!(rec, expect_keys);
-        assert_eq!(
-            sc2.metrics().radix_sort_runs(),
-            0,
-            "the record adapter must stay off the radix path"
+        let env = FlinkEnv::new(4);
+        let flink: Vec<Record> = run_flink(&env, records, 4).into_iter().flatten().collect();
+        assert!(flink == expect, "pipelined output differs from the oracle");
+        assert!(
+            env.metrics().radix_sort_runs() > 0,
+            "pipelined reduce must sort through the radix kernel"
         );
     }
 

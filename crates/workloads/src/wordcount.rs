@@ -103,31 +103,6 @@ pub fn operator_table(fw: Framework) -> Vec<OperatorKind> {
     }
 }
 
-/// Counts one word occurrence, allocating a `String` only on first sight —
-/// the tokenizer works on `&str` subslices of the line, so a token costs an
-/// allocation once per *distinct* word instead of once per occurrence.
-fn count_word(counts: &mut FxHashMap<String, u64>, word: &str) {
-    match counts.get_mut(word) {
-        Some(c) => *c += 1,
-        None => {
-            counts.insert(word.to_owned(), 1);
-        }
-    }
-}
-
-/// Tokenizes and pre-aggregates one partition's lines (the map-side
-/// combiner's local half, run before records are even handed to the
-/// engine's shuffle machinery).
-fn count_partition<'a>(lines: impl IntoIterator<Item = &'a String>) -> Vec<(String, u64)> {
-    let mut counts: FxHashMap<String, u64> = fx_map_with_capacity(1024);
-    for line in lines {
-        for w in line.split_whitespace() {
-            count_word(&mut counts, w);
-        }
-    }
-    counts.into_iter().collect()
-}
-
 /// The map half of the batch-granularity shuffle: tokenizes one task's line
 /// ranges in place into one [`WordDict`] (the map-side combiner), then
 /// routes the counts into per-reducer [`StrU64Batch`]es tagged with their
@@ -217,30 +192,6 @@ pub fn run_flink(env: &FlinkEnv, lines: Vec<String>) -> HashMap<String, u64> {
         .collect()
 }
 
-/// Runs Word Count on the staged engine record-at-a-time (the pre-columnar
-/// plan, kept as the scalar reference for parity tests).
-pub fn run_spark_records(
-    sc: &SparkContext,
-    lines: Vec<String>,
-    partitions: usize,
-) -> HashMap<String, u64> {
-    sc.parallelize(lines, partitions)
-        .map_partitions(|part| count_partition(part))
-        .reduce_by_key(|a, b| *a += b)
-        .collect_as_map()
-}
-
-/// Runs Word Count on the pipelined engine record-at-a-time (scalar
-/// reference).
-pub fn run_flink_records(env: &FlinkEnv, lines: Vec<String>) -> HashMap<String, u64> {
-    env.from_collection(lines)
-        .map_partition(|lines: Partition<String>| count_partition(lines.iter()))
-        .group_reduce(|a, b| *a += b)
-        .collect()
-        .into_iter()
-        .collect()
-}
-
 /// Sequential oracle.
 pub fn oracle(lines: &[String]) -> HashMap<String, u64> {
     let mut m = HashMap::new();
@@ -270,7 +221,7 @@ mod tests {
     fn both_engines_match_the_oracle() {
         let lines = corpus(2000);
         let expect = oracle(&lines);
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let spark = run_spark(&sc, lines.clone(), 4);
         assert_eq!(spark, expect);
         let env = FlinkEnv::new(4);

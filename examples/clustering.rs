@@ -33,7 +33,7 @@ fn main() {
     println!("clustering {} points around {} hidden centers, 10 iterations\n", points.len(), truth.len());
 
     // ---- staged engine: loop unrolling -------------------------------------
-    let sc = SparkContext::new(8, 256 << 20);
+    let sc = SparkContext::new(8);
     let t = std::time::Instant::now();
     let spark_centers = kmeans::run_spark(&sc, points.clone(), init.clone(), 10, 8);
     println!(

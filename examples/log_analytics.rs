@@ -23,7 +23,7 @@ fn main() {
     println!("scanning {} log lines for ERROR...\n", lines.len());
 
     // ---- staged engine: filter once, persist, reuse twice -----------------
-    let sc = SparkContext::new(8, 256 << 20);
+    let sc = SparkContext::new(8);
     let errors = sc
         .parallelize(lines.clone(), 8)
         .filter(|l| l.contains("ERROR"))

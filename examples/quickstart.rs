@@ -19,7 +19,7 @@ fn main() {
     let lines = TextGen::new(TextGenConfig::default(), 42).lines(50_000);
     println!("Word Count over {} synthetic Wikipedia-like lines\n", lines.len());
 
-    let sc = SparkContext::new(8, 256 << 20);
+    let sc = SparkContext::new(8);
     let t = std::time::Instant::now();
     let spark_counts = wordcount::run_spark(&sc, lines.clone(), 8);
     println!(

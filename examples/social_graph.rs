@@ -36,7 +36,7 @@ fn main() {
         env.metrics().tasks_launched()
     );
 
-    let sc = SparkContext::new(8, 256 << 20);
+    let sc = SparkContext::new(8);
     let t = std::time::Instant::now();
     let spark_ranks = pagerank::run_spark(&sc, &graph.edges, 10, 8);
     println!(

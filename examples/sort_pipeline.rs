@@ -21,7 +21,7 @@ fn main() {
     let records = TeraGen::new(2026).records(200_000);
     println!("sorting {} TeraGen records (100 B each)...\n", records.len());
 
-    let sc = SparkContext::new(8, 256 << 20);
+    let sc = SparkContext::new(8);
     let t = std::time::Instant::now();
     let spark_out = terasort::run_spark(&sc, records.clone(), 16);
     terasort::validate_output(records.len(), &spark_out).expect("spark output contract");

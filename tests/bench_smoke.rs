@@ -1,8 +1,8 @@
 //! Direct-call guards on what the engines count, for the workloads whose
 //! hot paths were rewritten: counters equal an engine-independent
 //! reference or repeat exactly across fresh contexts, each migrated
-//! workload's batch kernels fire (and stay silent on its record adapter),
-//! and the iteration runtimes keep their `tasks_launched` signatures. A
+//! workload's batch kernels fire, and the iteration runtimes keep their
+//! `tasks_launched` signatures. A
 //! silent fallback to a slower path passes every oracle check; these
 //! tests make it loud. Oracle agreement itself is checked by each
 //! workload's own tests and by flowbench's schema tests; the Nexmark slab
@@ -41,7 +41,7 @@ fn iteration_task_signatures_survive_the_csr_rewrite() {
         "CC declares a min combiner; it must eliminate messages"
     );
 
-    let sc = SparkContext::new(parts, 64 << 20);
+    let sc = SparkContext::new(parts);
     let before = sc.metrics().tasks_launched();
     let out = connected::run_spark(&sc, &edges, 200, parts);
     assert_eq!(out, expect);
@@ -53,21 +53,18 @@ fn iteration_task_signatures_survive_the_csr_rewrite() {
 }
 
 /// Guard for the columnar migration: K-Means' batch entry points must take
-/// the vectorized assign kernel on both engines, and the record adapters
-/// must stay scalar, leaving every vectorization counter untouched, so a
-/// batch-vs-record comparison really is one. (TeraSort's radix guard is in
-/// `terasort_shuffles_each_record_exactly_once`.)
+/// the vectorized assign kernel on both engines. (TeraSort's radix guard is
+/// in `terasort_shuffles_each_record_exactly_once`.)
 #[test]
 fn migrated_cells_take_the_vectorized_paths() {
     use flowmark_datagen::points::{PointsConfig, PointsGen};
-    use flowmark_datagen::terasort::TeraGen;
-    use flowmark_workloads::{kmeans, terasort};
+    use flowmark_workloads::kmeans;
 
     let mut gen = PointsGen::new(PointsConfig::default(), 5);
     let points = gen.points(2_000);
     let init = gen.true_centers().to_vec();
 
-    let sc = SparkContext::new(4, 64 << 20);
+    let sc = SparkContext::new(4);
     kmeans::run_spark(&sc, points.clone(), init.clone(), 2, 4);
     assert!(
         sc.metrics().records_shuffled() > 0,
@@ -75,29 +72,14 @@ fn migrated_cells_take_the_vectorized_paths() {
     );
     assert!(
         sc.metrics().points_assigned_vectorized() > 0,
-        "staged K-Means fell back to the record adapter"
+        "staged K-Means left the vectorized kernel"
     );
     let env = FlinkEnv::new(4);
-    kmeans::run_flink(&env, points.clone(), init.clone(), 2);
+    kmeans::run_flink(&env, points, init, 2);
     assert!(
         env.metrics().points_assigned_vectorized() > 0,
-        "pipelined K-Means fell back to the record adapter"
+        "pipelined K-Means left the vectorized kernel"
     );
-
-    let sc = SparkContext::new(4, 64 << 20);
-    kmeans::run_spark_records(&sc, points.clone(), init.clone(), 2, 4);
-    assert_eq!(sc.metrics().points_assigned_vectorized(), 0);
-    let env = FlinkEnv::new(4);
-    kmeans::run_flink_records(&env, points, init, 2);
-    assert_eq!(env.metrics().points_assigned_vectorized(), 0);
-
-    let records = TeraGen::new(11).records(2_000);
-    let sc = SparkContext::new(4, 64 << 20);
-    terasort::run_spark_records(&sc, records.clone(), 4);
-    assert_eq!(sc.metrics().radix_sort_runs(), 0);
-    let env = FlinkEnv::new(4);
-    terasort::run_flink_records(&env, records, 4);
-    assert_eq!(env.metrics().radix_sort_runs(), 0);
 }
 
 /// Engine-independent reference for Word Count's `records_shuffled`: both
@@ -138,7 +120,7 @@ fn shuffle_metrics_are_invariant_under_the_zero_copy_rewrite() {
     let lines = TextGen::new(TextGenConfig::default(), 7).lines(10_000);
     let (expect_records, expect_bytes) = expected_wc_shuffle(&lines, parts);
 
-    let sc = SparkContext::new(parts, 64 << 20);
+    let sc = SparkContext::new(parts);
     let spark_out = wordcount::run_spark(&sc, lines.clone(), parts);
     assert_eq!(
         sc.metrics().records_shuffled(),
@@ -187,7 +169,7 @@ fn staged_graph_counters_repeat_exactly() {
 
     let edges = RmatGen::new(9, RmatParams::default(), 9).edges(4_000);
     let run = || {
-        let sc = SparkContext::new(3, 64 << 20);
+        let sc = SparkContext::new(3);
         let ranks = pagerank::run_spark(&sc, &edges, 5, 3);
         let labels = connected::run_spark(&sc, &edges, 200, 3);
         let m = sc.metrics();
@@ -257,7 +239,7 @@ fn terasort_shuffles_each_record_exactly_once() {
     let records = TeraGen::new(11).records(2_000);
     let n = records.len() as u64;
 
-    let sc = SparkContext::new(4, 64 << 20);
+    let sc = SparkContext::new(4);
     let out = terasort::run_spark(&sc, records.clone(), 4);
     terasort::validate_output(records.len(), &out).unwrap();
     assert_eq!(sc.metrics().records_shuffled(), n);
@@ -298,7 +280,7 @@ fn terasort_counters_repeat_exactly() {
         )
     };
     let staged = || {
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let out = terasort::run_spark(&sc, records.clone(), 4);
         (counters(sc.metrics()), out)
     };
@@ -339,7 +321,7 @@ fn wordcount_counters_repeat_exactly() {
         )
     };
     let staged = || {
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let out = wordcount::run_spark(&sc, lines.clone(), 4);
         (counters(sc.metrics()), out)
     };
@@ -384,7 +366,7 @@ fn grep_counters_repeat_exactly() {
         )
     };
     let staged = || {
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let out = grep::run_spark(&sc, lines.clone(), &needle, 4);
         (counters(sc.metrics()), out)
     };
@@ -428,7 +410,7 @@ fn kmeans_counters_repeat_exactly() {
         )
     };
     let staged = || {
-        let sc = SparkContext::new(4, 64 << 20);
+        let sc = SparkContext::new(4);
         let out = kmeans::run_spark(&sc, points.clone(), init.clone(), rounds, 4);
         (counters(sc.metrics()), out)
     };

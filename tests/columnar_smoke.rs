@@ -1,8 +1,7 @@
 //! Tier-1 smoke test for the columnar batch execution core: the three
 //! migrated workloads (Word Count, Grep, TeraSort) run oracle-verified on
-//! both engines, and the new `batches_processed` / `rows_selected` counters
-//! prove the vectorized batch path — not the record-at-a-time adapter —
-//! actually executed.
+//! both engines, and the `batches_processed` / `rows_selected` counters
+//! prove the vectorized batch path actually executed.
 
 use flowmark_datagen::terasort::TeraGen;
 use flowmark_datagen::text::{TextGen, TextGenConfig};
@@ -12,7 +11,7 @@ use flowmark_workloads::{grep, terasort, wordcount};
 const PARTS: usize = 4;
 
 fn new_sc() -> SparkContext {
-    SparkContext::new(PARTS, 64 << 20)
+    SparkContext::new(PARTS)
 }
 
 fn new_env() -> FlinkEnv {
@@ -35,19 +34,10 @@ fn wordcount_batch_path_executes_and_matches_oracle() {
     assert!(m.rows_selected > 0, "spark kernels touched no rows");
 
     let env = new_env();
-    assert_eq!(wordcount::run_flink(&env, lines.clone()), expect);
+    assert_eq!(wordcount::run_flink(&env, lines), expect);
     let m = env.metrics().snapshot();
     assert!(m.batches_processed > 0, "flink batch path did not run");
     assert!(m.rows_selected > 0, "flink kernels touched no rows");
-
-    // The record adapter stays available, agrees, and never touches the
-    // batch counters.
-    let sc = new_sc();
-    assert_eq!(wordcount::run_spark_records(&sc, lines.clone(), PARTS), expect);
-    assert_eq!(sc.metrics().snapshot().batches_processed, 0);
-    let env = new_env();
-    assert_eq!(wordcount::run_flink_records(&env, lines), expect);
-    assert_eq!(env.metrics().snapshot().batches_processed, 0);
 }
 
 #[test]
@@ -68,17 +58,10 @@ fn grep_batch_path_executes_and_matches_oracle() {
     assert_eq!(m.rows_selected, expect, "rows_selected must count the matches");
 
     let env = new_env();
-    assert_eq!(grep::run_flink(&env, lines.clone(), &needle), expect);
+    assert_eq!(grep::run_flink(&env, lines, &needle), expect);
     let m = env.metrics().snapshot();
     assert!(m.batches_processed > 0, "flink batch path did not run");
     assert_eq!(m.rows_selected, expect, "rows_selected must count the matches");
-
-    let sc = new_sc();
-    assert_eq!(grep::run_spark_records(&sc, lines.clone(), &needle, PARTS), expect);
-    assert_eq!(sc.metrics().snapshot().batches_processed, 0);
-    let env = new_env();
-    assert_eq!(grep::run_flink_records(&env, lines, &needle), expect);
-    assert_eq!(env.metrics().snapshot().batches_processed, 0);
 }
 
 #[test]
@@ -102,29 +85,14 @@ fn terasort_batch_path_executes_and_matches_oracle() {
     assert!(m.batches_processed > 0, "spark batch shuffle did not run");
 
     let env = new_env();
-    let flink = terasort::run_flink(&env, records.clone(), PARTS);
-    terasort::validate_output(records.len(), &flink).expect("flink output invalid");
+    let flink = terasort::run_flink(&env, records, PARTS);
+    terasort::validate_output(expect.len(), &flink).expect("flink output invalid");
     assert!(
         flat(flink) == expect,
         "flink output differs from the oracle"
     );
     let m = env.metrics().snapshot();
     assert!(m.batches_processed > 0, "flink batch shuffle did not run");
-
-    let sc = new_sc();
-    let spark = terasort::run_spark_records(&sc, records.clone(), PARTS);
-    assert!(
-        flat(spark) == expect,
-        "spark record adapter differs from the oracle"
-    );
-    assert_eq!(sc.metrics().snapshot().batches_processed, 0);
-    let env = new_env();
-    let flink = terasort::run_flink_records(&env, records, PARTS);
-    assert!(
-        flat(flink) == expect,
-        "flink record adapter differs from the oracle"
-    );
-    assert_eq!(env.metrics().snapshot().batches_processed, 0);
 }
 
 #[test]

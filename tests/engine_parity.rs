@@ -12,7 +12,7 @@ use flowmark_workloads::connected::{self, CcVariant};
 use flowmark_workloads::{grep, kmeans, pagerank, terasort, wordcount};
 
 fn sc() -> SparkContext {
-    SparkContext::new(6, 128 << 20)
+    SparkContext::new(6)
 }
 
 fn env() -> FlinkEnv {

@@ -15,9 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use flowmark_core::config::{EngineConfig, Framework};
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::spark::SparkContext;
-use flowmark_engine::{FaultConfig, FaultPlan};
+use flowmark_engine::{FaultConfig, FaultPlan, Setup};
 use flowmark_sched::{FragmentCache, FragmentKey};
 use flowmark_workloads::wordcount;
 
@@ -57,25 +55,16 @@ fn run_once(
     k: FragmentKey,
     plan: FaultPlan,
 ) -> std::collections::HashMap<String, u64> {
+    let setup = Setup {
+        faults: plan,
+        fragment: Some((Arc::clone(cache), k)),
+        ..Setup::from(*config)
+    };
     match engine {
         Framework::Spark => {
-            let sc = SparkContext::with_config_faults_cancel(
-                config,
-                plan,
-                flowmark_engine::CancelToken::new(),
-            );
-            sc.register_fragment(Arc::clone(cache), k);
-            wordcount::run_spark(&sc, lines.to_vec(), config.parallelism)
+            wordcount::run_spark(&setup.spark(), lines.to_vec(), config.parallelism)
         }
-        Framework::Flink => {
-            let env = FlinkEnv::with_config_faults_cancel(
-                config,
-                plan,
-                flowmark_engine::CancelToken::new(),
-            );
-            env.register_fragment(Arc::clone(cache), k);
-            wordcount::run_flink(&env, lines.to_vec())
-        }
+        Framework::Flink => wordcount::run_flink(&setup.flink(), lines.to_vec()),
     }
 }
 

@@ -9,9 +9,7 @@
 use flowmark_datagen::terasort::TeraGen;
 use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::faults::{install_quiet_hook, FaultConfig};
-use flowmark_engine::flink::FlinkEnv;
-use flowmark_engine::spark::SparkContext;
-use flowmark_engine::FaultPlan;
+use flowmark_engine::{FaultPlan, Setup};
 use flowmark_workloads::{grep, terasort, wordcount};
 
 const PARTS: usize = 4;
@@ -30,7 +28,7 @@ fn wordcount_corruption_is_detected_and_recovered_on_both_engines() {
     let lines = TextGen::new(TextGenConfig::default(), 7).lines(LINES);
     let expect = wordcount::oracle(&lines);
 
-    let sc = SparkContext::with_faults(PARTS, 64 << 20, corruption_plan(101));
+    let sc = Setup { faults: corruption_plan(101), ..Setup::new(PARTS) }.spark();
     assert_eq!(wordcount::run_spark(&sc, lines.clone(), PARTS), expect);
     let rec = sc.metrics().recovery();
     assert!(rec.batches_checksummed >= 1, "nothing was sealed at shuffle-write");
@@ -38,7 +36,7 @@ fn wordcount_corruption_is_detected_and_recovered_on_both_engines() {
     assert!(rec.integrity_recomputes >= 1, "no recompute answered the rot");
     assert_eq!(rec.region_restarts, 0, "staged engine must not region-restart");
 
-    let env = FlinkEnv::with_faults(PARTS, corruption_plan(103));
+    let env = Setup { faults: corruption_plan(103), ..Setup::new(PARTS) }.flink();
     assert_eq!(wordcount::run_flink(&env, lines), expect);
     let rec = env.metrics().recovery();
     assert!(rec.batches_checksummed >= 1);
@@ -62,14 +60,14 @@ fn grep_sealed_source_corruption_is_detected_and_recovered() {
 
     // Grep has no exchange on either engine: its integrity surface is the
     // sealed source batch, verified at every task-side read.
-    let sc = SparkContext::with_faults(PARTS, 64 << 20, corruption_plan(211));
+    let sc = Setup { faults: corruption_plan(211), ..Setup::new(PARTS) }.spark();
     assert_eq!(grep::run_spark(&sc, lines.clone(), &needle, PARTS), expect);
     let rec = sc.metrics().recovery();
     assert!(rec.batches_checksummed >= 1, "source batches were never sealed");
     assert!(rec.corruptions_detected >= 1, "sealed-source rot was never detected");
     assert!(rec.integrity_recomputes >= 1, "no recompute answered the rot");
 
-    let env = FlinkEnv::with_faults(PARTS, corruption_plan(223));
+    let env = Setup { faults: corruption_plan(223), ..Setup::new(PARTS) }.flink();
     assert_eq!(grep::run_flink(&env, lines, &needle), expect);
     let rec = env.metrics().recovery();
     assert!(rec.corruptions_detected >= 1, "sealed-source rot was never detected");
@@ -90,14 +88,14 @@ fn terasort_corruption_is_detected_and_recovered_on_both_engines() {
             && out.iter().flatten().map(|r| r.key().to_vec()).eq(expect.iter().cloned())
     };
 
-    let sc = SparkContext::with_faults(PARTS, 64 << 20, corruption_plan(307));
+    let sc = Setup { faults: corruption_plan(307), ..Setup::new(PARTS) }.spark();
     assert!(keys_ok(&terasort::run_spark(&sc, records.clone(), PARTS)));
     let rec = sc.metrics().recovery();
     assert!(rec.corruptions_detected >= 1, "armed corruption was never detected");
     assert!(rec.integrity_recomputes >= 1, "no recompute answered the rot");
     assert_eq!(rec.region_restarts, 0);
 
-    let env = FlinkEnv::with_faults(PARTS, corruption_plan(311));
+    let env = Setup { faults: corruption_plan(311), ..Setup::new(PARTS) }.flink();
     assert!(keys_ok(&terasort::run_flink(&env, records.clone(), PARTS)));
     let rec = env.metrics().recovery();
     assert!(rec.corruptions_detected >= 1, "armed corruption was never detected");
@@ -126,7 +124,7 @@ fn kill_during_batch_exchange_recovers_via_verified_checkpoints() {
 
     let lines = TextGen::new(TextGenConfig::default(), 7).lines(LINES);
     let expect = wordcount::oracle(&lines);
-    let env = FlinkEnv::with_faults(PARTS, kill_plan(401));
+    let env = Setup { faults: kill_plan(401), ..Setup::new(PARTS) }.flink();
     assert_eq!(wordcount::run_flink(&env, lines), expect);
     let rec = env.metrics().recovery();
     assert!(rec.injected_failures >= 1, "wordcount: the exchange kill never fired");
@@ -138,7 +136,7 @@ fn kill_during_batch_exchange_recovers_via_verified_checkpoints() {
         .iter()
         .map(|r| r.key().to_vec())
         .collect();
-    let env = FlinkEnv::with_faults(PARTS, kill_plan(409));
+    let env = Setup { faults: kill_plan(409), ..Setup::new(PARTS) }.flink();
     let out = terasort::run_flink(&env, records.clone(), PARTS);
     assert!(terasort::validate_output(records.len(), &out).is_ok());
     assert!(out.iter().flatten().map(|r| r.key().to_vec()).eq(expect.iter().cloned()));
@@ -156,14 +154,15 @@ fn kill_during_batch_exchange_recovers_via_verified_checkpoints() {
     let needle = config.needle.clone();
     let lines = TextGen::new(config, 3).lines(LINES);
     let expect = grep::oracle(&lines, &needle);
-    let env = FlinkEnv::with_faults(
-        PARTS,
-        FaultPlan::new(FaultConfig {
+    let env = Setup {
+        faults: FaultPlan::new(FaultConfig {
             seed: 419,
             fail_first_n: 1,
             ..FaultConfig::default()
         }),
-    );
+        ..Setup::new(PARTS)
+    }
+    .flink();
     assert_eq!(grep::run_flink(&env, lines, &needle), expect);
     let rec = env.metrics().recovery();
     assert!(rec.injected_failures >= 1, "grep: the guaranteed kill never fired");
@@ -206,12 +205,12 @@ fn killed_exchanges_never_share_a_recycled_route_buffer() {
                     // pipelined one (the sink takes stage 0).
                     let plan = if faults { kill(job) } else { FaultPlan::disabled() };
                     let out = if job % 2 == 0 {
-                        let sc = SparkContext::with_faults(PARTS, 64 << 20, plan);
+                        let sc = Setup { faults: plan, ..Setup::new(PARTS) }.spark();
                         let out = terasort::run_spark(&sc, records.clone(), PARTS);
                         assert_eq!(sc.metrics().recovery().injected_failures, u64::from(faults));
                         out
                     } else {
-                        let env = FlinkEnv::with_faults(PARTS, plan);
+                        let env = Setup { faults: plan, ..Setup::new(PARTS) }.flink();
                         let out = terasort::run_flink(&env, records.clone(), PARTS);
                         assert_eq!(env.metrics().recovery().region_restarts, u64::from(faults));
                         out
@@ -230,11 +229,11 @@ fn corrupted_runs_are_deterministic() {
     install_quiet_hook();
     let lines = TextGen::new(TextGenConfig::default(), 7).lines(LINES);
     let a = {
-        let sc = SparkContext::with_faults(PARTS, 64 << 20, corruption_plan(503));
+        let sc = Setup { faults: corruption_plan(503), ..Setup::new(PARTS) }.spark();
         wordcount::run_spark(&sc, lines.clone(), PARTS)
     };
     let b = {
-        let sc = SparkContext::with_faults(PARTS, 64 << 20, corruption_plan(503));
+        let sc = Setup { faults: corruption_plan(503), ..Setup::new(PARTS) }.spark();
         wordcount::run_spark(&sc, lines.clone(), PARTS)
     };
     assert_eq!(a, b);

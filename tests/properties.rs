@@ -7,7 +7,7 @@ use flowmark_core::stats::Accumulator;
 use flowmark_core::timeseries::TimeSeries;
 use flowmark_dataflow::partitioner::{HashPartitioner, Partitioner, RangePartitioner};
 use flowmark_engine::sortbuf::SortCombineBuffer;
-use flowmark_engine::{EngineMetrics, FlinkEnv, SparkContext};
+use flowmark_engine::{EngineMetrics, FlinkEnv, Setup, SparkContext};
 
 proptest! {
     /// Welford merge is equivalent to sequential accumulation regardless of
@@ -101,7 +101,7 @@ proptest! {
         pairs in prop::collection::vec((0u32..30, 1u64..10), 1..300),
         partitions in 1usize..6,
     ) {
-        let sc = SparkContext::new(partitions, 16 << 20);
+        let sc = SparkContext::new(partitions);
         let spark: std::collections::HashMap<u32, u64> = sc
             .parallelize(pairs.clone(), partitions)
             .reduce_by_key(|a, b| *a += b)
@@ -257,7 +257,7 @@ proptest! {
         use flowmark_workloads::wordcount;
         let corpus = TextGen::new(TextGenConfig::default(), seed).lines(lines);
         let expect = wordcount::oracle(&corpus);
-        let sc = SparkContext::new(partitions, 16 << 20);
+        let sc = SparkContext::new(partitions);
         let spark = wordcount::run_spark(&sc, corpus.clone(), partitions);
         prop_assert_eq!(&spark, &expect);
         let env = FlinkEnv::new(partitions);
@@ -280,7 +280,7 @@ proptest! {
             .iter()
             .map(|r| r.key().to_vec())
             .collect();
-        let sc = SparkContext::new(2, 16 << 20);
+        let sc = SparkContext::new(2);
         let spark = terasort::run_spark(&sc, records.clone(), partitions);
         let check = terasort::validate_output(records.len(), &spark);
         prop_assert!(check.is_ok(), "spark output invalid: {:?}", check);
@@ -335,10 +335,10 @@ proptest! {
         };
         let rot = || FaultPlan::new(FaultConfig::corruption(seed));
 
-        let sc = SparkContext::new(parallelism, 16 << 20);
+        let sc = SparkContext::new(parallelism);
         let clean = check(terasort::run_spark(&sc, records.clone(), partitions), &mut expect);
         prop_assert!(clean.is_ok(), "staged: {:?}", clean);
-        let sc = SparkContext::with_faults(parallelism, 16 << 20, rot());
+        let sc = Setup { faults: rot(), ..Setup::new(parallelism) }.spark();
         let rotten = check(terasort::run_spark(&sc, records.clone(), partitions), &mut expect);
         prop_assert!(rotten.is_ok(), "staged under rot: {:?}", rotten);
         let rec = sc.metrics().recovery();
@@ -350,7 +350,7 @@ proptest! {
         let env = FlinkEnv::new(parallelism);
         let clean = check(terasort::run_flink(&env, records.clone(), partitions), &mut expect);
         prop_assert!(clean.is_ok(), "pipelined: {:?}", clean);
-        let env = FlinkEnv::with_faults(parallelism, rot());
+        let env = Setup { faults: rot(), ..Setup::new(parallelism) }.flink();
         let rotten = check(terasort::run_flink(&env, records.clone(), partitions), &mut expect);
         prop_assert!(rotten.is_ok(), "pipelined under rot: {:?}", rotten);
         let rec = env.metrics().recovery();
@@ -393,8 +393,8 @@ fn adversarial_records() -> impl Strategy<Value = Vec<flowmark_datagen::terasort
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The columnar batch path and the record-at-a-time adapter produce
-    /// identical Word Count answers on both engines for any corpus.
+    /// The columnar batch path produces the oracle's Word Count on both
+    /// engines for any corpus and partition count.
     #[test]
     fn wordcount_batch_path_matches_record_path(
         seed in any::<u64>(),
@@ -404,25 +404,23 @@ proptest! {
         use flowmark_datagen::text::{TextGen, TextGenConfig};
         use flowmark_workloads::wordcount;
         let corpus = TextGen::new(TextGenConfig::default(), seed).lines(lines);
-        let batch_sc = SparkContext::new(partitions, 16 << 20);
-        let record_sc = SparkContext::new(partitions, 16 << 20);
+        let expect = wordcount::oracle(&corpus);
+        let sc = SparkContext::new(partitions);
         prop_assert_eq!(
-            wordcount::run_spark(&batch_sc, corpus.clone(), partitions),
-            wordcount::run_spark_records(&record_sc, corpus.clone(), partitions),
-            "spark batch path diverged from record path"
+            &wordcount::run_spark(&sc, corpus.clone(), partitions),
+            &expect,
+            "spark batch path diverged from the oracle"
         );
-        let batch_env = FlinkEnv::new(partitions);
-        let record_env = FlinkEnv::new(partitions);
+        let env = FlinkEnv::new(partitions);
         prop_assert_eq!(
-            wordcount::run_flink(&batch_env, corpus.clone()),
-            wordcount::run_flink_records(&record_env, corpus),
-            "flink batch path diverged from record path"
+            &wordcount::run_flink(&env, corpus),
+            &expect,
+            "flink batch path diverged from the oracle"
         );
     }
 
-    /// The vectorized substring filter and the scalar `contains` adapter
-    /// count the same matches on both engines for any corpus and needle
-    /// selectivity.
+    /// The vectorized substring filter counts the oracle's matches on both
+    /// engines for any corpus and needle selectivity.
     #[test]
     fn grep_batch_path_matches_record_path(
         seed in any::<u64>(),
@@ -435,24 +433,24 @@ proptest! {
         let config = TextGenConfig { needle_selectivity: selectivity, ..TextGenConfig::default() };
         let needle = config.needle.clone();
         let corpus = TextGen::new(config, seed).lines(lines);
-        let batch_sc = SparkContext::new(partitions, 16 << 20);
-        let record_sc = SparkContext::new(partitions, 16 << 20);
+        let expect = grep::oracle(&corpus, &needle);
+        let sc = SparkContext::new(partitions);
         prop_assert_eq!(
-            grep::run_spark(&batch_sc, corpus.clone(), &needle, partitions),
-            grep::run_spark_records(&record_sc, corpus.clone(), &needle, partitions),
-            "spark batch path diverged from record path"
+            grep::run_spark(&sc, corpus.clone(), &needle, partitions),
+            expect,
+            "spark batch path diverged from the oracle"
         );
-        let batch_env = FlinkEnv::new(partitions);
-        let record_env = FlinkEnv::new(partitions);
+        let env = FlinkEnv::new(partitions);
         prop_assert_eq!(
-            grep::run_flink(&batch_env, corpus.clone(), &needle),
-            grep::run_flink_records(&record_env, corpus, &needle),
-            "flink batch path diverged from record path"
+            grep::run_flink(&env, corpus, &needle),
+            expect,
+            "flink batch path diverged from the oracle"
         );
     }
 
-    /// Batch-granularity shuffle routing and the keyed-tuple adapter produce
-    /// byte-identical TeraSort partitions on both engines.
+    /// Batch-granularity shuffle routing produces byte-identical TeraSort
+    /// partitions on both engines, whose concatenation is the oracle's
+    /// sorted records.
     #[test]
     fn terasort_batch_path_matches_record_path(
         seed in any::<u64>(),
@@ -462,19 +460,13 @@ proptest! {
         use flowmark_datagen::terasort::TeraGen;
         use flowmark_workloads::terasort;
         let records = TeraGen::new(seed).records(n);
-        let batch_sc = SparkContext::new(2, 16 << 20);
-        let record_sc = SparkContext::new(2, 16 << 20);
-        prop_assert_eq!(
-            terasort::run_spark(&batch_sc, records.clone(), partitions),
-            terasort::run_spark_records(&record_sc, records.clone(), partitions),
-            "spark batch path diverged from record path"
-        );
-        let batch_env = FlinkEnv::new(2);
-        let record_env = FlinkEnv::new(2);
-        prop_assert_eq!(
-            terasort::run_flink(&batch_env, records.clone(), partitions),
-            terasort::run_flink_records(&record_env, records, partitions),
-            "flink batch path diverged from record path"
+        let expect = terasort::oracle(records.clone());
+        let spark = terasort::run_spark(&SparkContext::new(2), records.clone(), partitions);
+        let flink = terasort::run_flink(&FlinkEnv::new(2), records, partitions);
+        prop_assert!(spark == flink, "the engines split or ordered the records differently");
+        prop_assert!(
+            spark.into_iter().flatten().eq(expect),
+            "batch path diverged from the oracle"
         );
     }
 }
@@ -524,13 +516,13 @@ proptest! {
         use flowmark_datagen::text::{TextGen, TextGenConfig};
         use flowmark_workloads::wordcount;
         let corpus = TextGen::new(TextGenConfig::default(), seed).lines(300);
-        let clean_sc = SparkContext::new(partitions, 16 << 20);
+        let clean_sc = SparkContext::new(partitions);
         let clean_spark = wordcount::run_spark(&clean_sc, corpus.clone(), partitions);
-        let sc = SparkContext::with_faults(partitions, 16 << 20, plan.clone());
+        let sc = Setup { faults: plan.clone(), ..Setup::new(partitions) }.spark();
         prop_assert_eq!(&wordcount::run_spark(&sc, corpus.clone(), partitions), &clean_spark, "spark diverged");
         let clean_env = FlinkEnv::new(partitions);
         let clean_flink = wordcount::run_flink(&clean_env, corpus.clone());
-        let env = FlinkEnv::with_faults(partitions, plan);
+        let env = Setup { faults: plan, ..Setup::new(partitions) }.flink();
         prop_assert_eq!(&wordcount::run_flink(&env, corpus), &clean_flink, "flink diverged");
     }
 
@@ -541,13 +533,13 @@ proptest! {
         use flowmark_datagen::terasort::TeraGen;
         use flowmark_workloads::terasort;
         let records = TeraGen::new(seed).records(400);
-        let clean_sc = SparkContext::new(2, 16 << 20);
+        let clean_sc = SparkContext::new(2);
         let clean_spark = terasort::run_spark(&clean_sc, records.clone(), partitions);
-        let sc = SparkContext::with_faults(2, 16 << 20, plan.clone());
+        let sc = Setup { faults: plan.clone(), ..Setup::new(2) }.spark();
         prop_assert_eq!(terasort::run_spark(&sc, records.clone(), partitions), clean_spark, "spark diverged");
         let clean_env = FlinkEnv::new(2);
         let clean_flink = terasort::run_flink(&clean_env, records.clone(), partitions);
-        let env = FlinkEnv::with_faults(2, plan);
+        let env = Setup { faults: plan, ..Setup::new(2) }.flink();
         prop_assert_eq!(terasort::run_flink(&env, records, partitions), clean_flink, "flink diverged");
     }
 
@@ -562,16 +554,16 @@ proptest! {
         let mut gen = PointsGen::new(PointsConfig::default(), seed);
         let init: Vec<Point> = gen.true_centers().to_vec();
         let points = gen.points(600);
-        let clean_sc = SparkContext::new(partitions, 16 << 20);
+        let clean_sc = SparkContext::new(partitions);
         let clean_spark = kmeans::run_spark(&clean_sc, points.clone(), init.clone(), 4, partitions);
-        let sc = SparkContext::with_faults(partitions, 16 << 20, plan.clone());
+        let sc = Setup { faults: plan.clone(), ..Setup::new(partitions) }.spark();
         prop_assert_eq!(
             kmeans::run_spark(&sc, points.clone(), init.clone(), 4, partitions),
             clean_spark
         );
         let clean_env = FlinkEnv::new(partitions);
         let clean_flink = kmeans::run_flink(&clean_env, points.clone(), init.clone(), 4);
-        let env = FlinkEnv::with_faults(partitions, plan);
+        let env = Setup { faults: plan, ..Setup::new(partitions) }.flink();
         prop_assert_eq!(kmeans::run_flink(&env, points, init, 4), clean_flink);
     }
 }
@@ -715,7 +707,7 @@ fn graph_workloads_accept_the_empty_edge_list() {
     use flowmark_workloads::connected::{self, CcVariant};
     use flowmark_workloads::pagerank;
     for partitions in GRAPH_PARTITIONS {
-        let sc = SparkContext::new(partitions, 16 << 20);
+        let sc = SparkContext::new(partitions);
         assert!(pagerank::run_spark(&sc, &[], 3, partitions).is_empty());
         assert!(connected::run_spark(&sc, &[], 200, partitions).is_empty());
         let env = FlinkEnv::new(partitions);
@@ -743,7 +735,7 @@ proptest! {
         use flowmark_workloads::pagerank;
         let expect = pagerank::oracle(&edges, iterations);
         for partitions in GRAPH_PARTITIONS {
-            let sc = SparkContext::new(partitions, 16 << 20);
+            let sc = SparkContext::new(partitions);
             let spark = pagerank::run_spark(&sc, &edges, iterations, partitions);
             prop_assert_eq!(spark.len(), expect.len());
             for (v, r) in &spark {
@@ -766,7 +758,7 @@ proptest! {
         use flowmark_workloads::connected::{self, CcVariant};
         let expect = connected::oracle(&edges);
         for partitions in GRAPH_PARTITIONS {
-            let sc = SparkContext::new(partitions, 16 << 20);
+            let sc = SparkContext::new(partitions);
             let spark = connected::run_spark(&sc, &edges, 200, partitions);
             prop_assert_eq!(&spark, &expect);
             let pregel =
@@ -793,7 +785,7 @@ proptest! {
             let env = FlinkEnv::new(partitions);
             let pipelined = gelly::sssp(&env, &edges, 0, partitions, 200).unwrap();
             prop_assert_eq!(&pipelined, &expect);
-            let sc = SparkContext::new(partitions, 16 << 20);
+            let sc = SparkContext::new(partitions);
             let staged = graphx::sssp(&sc, &edges, 0, partitions, 200);
             prop_assert_eq!(&staged, &expect);
         }
