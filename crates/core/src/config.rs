@@ -357,8 +357,8 @@ impl RunConfig {
 ///
 /// The paper notes the asymmetry (§II): Spark exposes partitioner control
 /// to the user while Flink's aggregation path always hash-partitions, so
-/// the pipelined engine honours this knob only where an explicit
-/// partitioner is accepted (e.g. TeraSort's `partition_custom`).
+/// only the staged engine's `reduce_by_key` honours this knob; the
+/// pipelined `group_reduce` ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PartitionerChoice {
     /// Hash-partitioned shuffle (both engines' default).

@@ -322,20 +322,20 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
         }
     }
 
-    /// Per-partition sort (`sortPartition`).
-    pub fn sort_partition<F>(&self, cmp: F) -> DataSet<T>
+    /// Whole-partition map (`mapPartition`). `f` reads the partition
+    /// through the `Deref` to `[T]`, or takes the elements with
+    /// [`Partition::into_vec`] — free downstream of an operator or an
+    /// exchange, a copy directly on a source.
+    pub fn map_partition<U, F>(&self, f: F) -> DataSet<U>
     where
-        F: Fn(&T, &T) -> std::cmp::Ordering + Send + Sync + 'static,
+        U: Clone + Send + Sync + 'static,
+        F: Fn(Partition<T>) -> Vec<U> + Send + Sync + 'static,
     {
         DataSet {
             env: self.env.clone(),
             op: Arc::new(ChainOp {
                 parent: Arc::clone(&self.op),
-                f: move |input: Partition<T>| {
-                    let mut input = input.into_vec();
-                    input.sort_by(&cmp);
-                    input
-                },
+                f,
             }),
             partitions: self.partitions,
         }
@@ -400,40 +400,6 @@ impl<T: Clone + Send + Sync + 'static> DataSet<T> {
         let out = self.materialise();
         self.env.record_span("collect", started);
         out
-    }
-
-    /// Repartitions with a custom partitioner (`partitionCustom`). The
-    /// exchange is **pipelined**: senders stream records into bounded
-    /// channels while receivers drain them concurrently.
-    pub fn partition_custom<K, P, KF>(&self, partitioner: Arc<P>, key_of: KF) -> DataSet<T>
-    where
-        K: Hash + Send + Sync + 'static,
-        P: Partitioner<K> + Send + Sync + 'static,
-        KF: Fn(&T) -> K + Send + Sync + 'static,
-    {
-        let parent = Arc::clone(&self.op);
-        let in_parts = self.partitions;
-        let out_parts = partitioner.partitions();
-        let record_bytes = std::mem::size_of::<T>();
-        let op = PipelinedExchange::new(
-            in_parts,
-            out_parts,
-            move |env: &FlinkEnv, out: &mut Outbox<T>, part| {
-                let records = parent.compute(env, part).into_vec();
-                env.metrics().add_records_shuffled(records.len() as u64);
-                env.metrics()
-                    .add_bytes_shuffled((records.len() * record_bytes) as u64);
-                for r in records {
-                    let p = partitioner.partition(&key_of(&r));
-                    out.send(p, r);
-                }
-            },
-        );
-        DataSet {
-            env: self.env.clone(),
-            op: Arc::new(op),
-            partitions: out_parts,
-        }
     }
 }
 
@@ -662,136 +628,6 @@ where
             op: Arc::new(reduced),
             partitions: out_parts,
         }
-    }
-}
-
-// ---- additional DataSet operators -----------------------------------------
-
-impl<T: Clone + Send + Sync + 'static> DataSet<T> {
-    /// Whole-partition map (`mapPartition`). `f` reads the partition
-    /// through the `Deref` to `[T]`, or takes the elements with
-    /// [`Partition::into_vec`] — free downstream of an operator or an
-    /// exchange, a copy directly on a source.
-    pub fn map_partition<U, F>(&self, f: F) -> DataSet<U>
-    where
-        U: Clone + Send + Sync + 'static,
-        F: Fn(Partition<T>) -> Vec<U> + Send + Sync + 'static,
-    {
-        DataSet {
-            env: self.env.clone(),
-            op: Arc::new(ChainOp {
-                parent: Arc::clone(&self.op),
-                f,
-            }),
-            partitions: self.partitions,
-        }
-    }
-
-    /// `union`: concatenates two DataSets partition-wise.
-    pub fn union(&self, other: &DataSet<T>) -> DataSet<T> {
-        let left = Arc::clone(&self.op);
-        let right = Arc::clone(&other.op);
-        let split = self.partitions;
-        let total = split + other.partitions;
-        struct UnionOp<T> {
-            left: Arc<dyn DsOp<T>>,
-            right: Arc<dyn DsOp<T>>,
-            split: usize,
-        }
-        impl<T: Send + Sync> DsOp<T> for UnionOp<T> {
-            fn compute(&self, env: &FlinkEnv, part: usize) -> Partition<T> {
-                if part < self.split {
-                    self.left.compute(env, part)
-                } else {
-                    self.right.compute(env, part - self.split)
-                }
-            }
-        }
-        DataSet {
-            env: self.env.clone(),
-            op: Arc::new(UnionOp { left, right, split }),
-            partitions: total,
-        }
-    }
-
-    /// Global `reduce` (action): folds every record.
-    pub fn reduce<F>(&self, f: F) -> Option<T>
-    where
-        F: Fn(T, T) -> T + Send + Sync,
-    {
-        let started = Instant::now();
-        let out = self
-            .materialise()
-            .into_iter()
-            .filter_map(|p| p.into_iter().reduce(&f))
-            .reduce(&f);
-        self.env.record_span("reduce", started);
-        out
-    }
-}
-
-impl<T> DataSet<T>
-where
-    T: Clone + Send + Sync + std::hash::Hash + Ord + 'static,
-{
-    /// `distinct`: deduplicates via the pipelined grouping machinery.
-    pub fn distinct(&self) -> DataSet<T> {
-        self.map(|t| (t.clone(), ()))
-            .group_reduce(|_, _| {})
-            .map(|(t, _)| t.clone())
-    }
-}
-
-impl<K, V> DataSet<(K, V)>
-where
-    K: Clone + Send + Sync + Hash + Ord + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    /// Inner equi-`join`: both sides hash-exchange on the key, then each
-    /// partition builds the left side and probes with the right — the
-    /// repartition-join strategy Flink's optimizer picks for same-size
-    /// inputs.
-    pub fn join<W>(&self, other: &DataSet<(K, W)>) -> DataSet<(K, (V, W))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        self.co_group(other).flat_map(|(k, (vs, ws))| {
-            let mut out = Vec::with_capacity(vs.len() * ws.len());
-            for v in vs {
-                for w in ws {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
-            }
-            out
-        })
-    }
-
-    /// `coGroup`: groups both inputs by key into
-    /// `(key, (left values, right values))` — the operator whose in-memory
-    /// solution set drives the Table VII failures.
-    pub fn co_group<W>(&self, other: &DataSet<(K, W)>) -> DataSet<(K, (Vec<V>, Vec<W>))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let tagged_left = self.map(|(k, v)| (k.clone(), (Some(v.clone()), None::<W>)));
-        let tagged_right = other.map(|(k, w)| (k.clone(), (None::<V>, Some(w.clone()))));
-        tagged_left
-            .union(&tagged_right)
-            .map(|(k, vw)| (k.clone(), vec![vw.clone()]))
-            .group_reduce(|acc, mut v| acc.append(&mut v))
-            .map(|(k, tagged)| {
-                let mut vs = Vec::new();
-                let mut ws = Vec::new();
-                for (v, w) in tagged {
-                    if let Some(v) = v {
-                        vs.push(v.clone());
-                    }
-                    if let Some(w) = w {
-                        ws.push(w.clone());
-                    }
-                }
-                (k.clone(), (vs, ws))
-            })
     }
 }
 
@@ -1338,6 +1174,29 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowmark_dataflow::partitioner::RangePartitioner;
+    use std::collections::{BTreeSet, HashMap};
+
+    /// TeraSort's shape on the pipelined engine: each map task routes its
+    /// keys by `range` into one batch per consumer, the batch exchange
+    /// streams them, and each consumer sorts what it received. Returns the
+    /// consumers' keys in partition order.
+    fn range_sorted(env: &FlinkEnv, keys: Vec<u64>, range: RangePartitioner<u64>) -> Vec<Vec<u64>> {
+        let parts = range.partitions();
+        env.from_collection(keys)
+            .map_partition(move |part| {
+                let mut out = vec![Vec::new(); parts];
+                part.iter().for_each(|&k| out[range.partition(&k)].push(k));
+                out.into_iter().enumerate().collect()
+            })
+            .exchange_by_index(parts)
+            .map_partition(|batches| {
+                let mut keys = batches.concat();
+                keys.sort_unstable();
+                keys
+            })
+            .collect_partitions()
+    }
 
     #[test]
     fn from_collection_and_collect_roundtrip() {
@@ -1462,19 +1321,14 @@ mod tests {
     #[test]
     fn partition_custom_routes_by_key() {
         let env = FlinkEnv::new(4);
-        let part = Arc::new(flowmark_dataflow::partitioner::RangePartitioner::new(vec![
-            100u32, 200, 300,
-        ]));
-        let ds = env
-            .from_collection((0..400u32).collect::<Vec<_>>())
-            .partition_custom(part.clone(), |x| *x)
-            .sort_partition(|a, b| a.cmp(b));
-        assert_eq!(ds.num_partitions(), 4);
-        let parts = ds.materialise();
-        // TeraSort property: concatenation is globally sorted.
-        let all: Vec<u32> = parts.into_iter().flatten().collect();
-        assert_eq!(all.len(), 400);
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
+        let range = RangePartitioner::new(vec![100u64, 200, 300]);
+        let parts = range_sorted(&env, (0..400u64).rev().collect(), range);
+        assert_eq!(parts.len(), 4);
+        for (p, part) in parts.iter().enumerate() {
+            assert_eq!(part.len(), 100, "partition {p} holds its key range");
+        }
+        // TeraSort property: the concatenation is every key, fully sorted.
+        assert_eq!(parts.concat(), (0..400).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1493,26 +1347,40 @@ mod tests {
         assert_eq!(total, 20_000);
     }
 
+    /// A consumer of the batch exchange receives the concatenation of
+    /// every producer's batches; `group_reduce` with a no-op combine keeps
+    /// one record per key.
     #[test]
     fn union_and_distinct() {
         let env = FlinkEnv::new(3);
-        let a = env.from_collection(vec![1u32, 2, 2]);
-        let b = env.from_collection(vec![2u32, 3]);
-        let mut u = a.union(&b).collect();
+        let batches = vec![(0usize, vec![1u64, 2, 2]), (1, vec![7]), (0, vec![2, 3])];
+        let parts = env.from_collection(batches).exchange_by_index(2).collect_partitions();
+        let mut u = parts[0].concat();
         u.sort_unstable();
         assert_eq!(u, vec![1, 2, 2, 2, 3]);
-        let mut d = a.union(&b).distinct().collect();
+        assert_eq!(parts[1].concat(), vec![7]);
+        let mut d: Vec<u64> = env
+            .from_collection(u)
+            .map(|&x| (x, ()))
+            .group_reduce(|_, _| {})
+            .collect()
+            .into_iter()
+            .map(|(x, _)| x)
+            .collect();
         d.sort_unstable();
         assert_eq!(d, vec![1, 2, 3]);
     }
 
+    /// A fold over every record is a `group_reduce` onto one key.
     #[test]
     fn global_reduce() {
         let env = FlinkEnv::new(4);
-        let ds = env.from_collection((1..=100u64).collect::<Vec<_>>());
-        assert_eq!(ds.reduce(|a, b| a + b), Some(5050));
-        let empty = env.from_collection(Vec::<u64>::new());
-        assert_eq!(empty.reduce(|a, b| a + b), None);
+        let fold = |data: Vec<u64>| {
+            let ds = env.from_collection(data).map(|&x| ((), x));
+            ds.group_reduce(|a, b| *a += b).collect()
+        };
+        assert_eq!(fold((1..=100).collect()), vec![((), 5050)]);
+        assert_eq!(fold(Vec::new()), vec![]);
     }
 
     #[test]
@@ -1526,31 +1394,55 @@ mod tests {
         assert_eq!(sizes.len(), 4);
     }
 
+    /// The pipelined engine's join is the vertex-centric superstep: every
+    /// vertex's value meets its out-edges, and the products are grouped at
+    /// their destinations. A nested loop over edges × vertices is the
+    /// oracle.
     #[test]
     fn join_matches_nested_loop_oracle() {
+        use crate::iterate::{vertex_centric, IterationMode, PartitionedGraph};
         let env = FlinkEnv::new(3);
-        let left = env.from_collection(vec![(1u32, "a"), (2, "b"), (2, "c")]);
-        let right = env.from_collection(vec![(2u32, 20u64), (2, 21), (3, 30)]);
-        let mut out = left.join(&right).collect();
-        out.sort_by(|a, b| (a.0, a.1 .0, a.1 .1).cmp(&(b.0, b.1 .0, b.1 .1)));
-        assert_eq!(
-            out,
-            vec![
-                (2, ("b", 20)),
-                (2, ("b", 21)),
-                (2, ("c", 20)),
-                (2, ("c", 21)),
-            ]
-        );
+        let edges: Vec<(u64, u64)> = vec![(1, 2), (2, 3), (2, 4), (3, 2), (5, 2), (4, 4), (2, 2)];
+        let value = |id: u64| 10 * id + 1;
+        let graph = PartitionedGraph::from_edges(&edges, 3);
+        let got = vertex_centric(
+            &env,
+            &graph,
+            value,
+            |v, out| match v.superstep {
+                0 => v.targets.iter().for_each(|&t| out.to(t, *v.value)),
+                _ => *v.value = v.message.unwrap_or(0),
+            },
+            |a: u64, b| a + b,
+            2,
+            IterationMode::Bulk,
+        )
+        .unwrap();
+        let vertices: BTreeSet<u64> = edges.iter().flat_map(|&(s, t)| [s, t]).collect();
+        let mut expect: HashMap<u64, u64> = vertices.iter().map(|&v| (v, 0)).collect();
+        for &(src, dst) in &edges {
+            for &id in vertices.iter().filter(|&&id| id == src) {
+                *expect.get_mut(&dst).unwrap() += value(id);
+            }
+        }
+        assert_eq!(got, expect);
     }
 
+    /// Both inputs, tagged by side, grouped by one `group_reduce`.
     #[test]
     fn co_group_collects_both_sides() {
         let env = FlinkEnv::new(2);
-        let left = env.from_collection(vec![(1u32, 100u64), (1, 101)]);
-        let right = env.from_collection(vec![(1u32, 7u64), (9, 9)]);
-        let cg: std::collections::HashMap<_, _> =
-            left.co_group(&right).collect().into_iter().collect();
+        let left = [(1u32, 100u64), (1, 101)].map(|(k, v)| (k, (vec![v], vec![])));
+        let right = [(1u32, 7u64), (9, 9)].map(|(k, w)| (k, (vec![], vec![w])));
+        let cg: HashMap<_, _> = env
+            .from_collection(left.into_iter().chain(right).collect())
+            .group_reduce(|acc: &mut (Vec<u64>, Vec<u64>), (mut vs, mut ws)| {
+                acc.0.append(&mut vs);
+                acc.1.append(&mut ws);
+            })
+            .collect()
+            .into_iter()
+            .collect();
         let (mut vs, ws) = cg[&1].clone();
         vs.sort_unstable();
         assert_eq!(vs, vec![100, 101]);
@@ -1593,10 +1485,11 @@ mod tests {
     fn dropped_receiver_mid_stream_does_not_deadlock_senders() {
         use crate::faults::FaultConfig;
         // Kill consumer 0 of the first exchange (stage 1, partition
-        // in_parts + 0 = 4) on its first attempt, mid-drain. With capacity-2
-        // channels the producers are blocked in `send` when the receiver
-        // drops; they must observe the disconnect, flag the region, and let
-        // the restart replay — not deadlock or crash the job.
+        // in_parts + 0 = 4) on its first attempt, mid-drain. With combine
+        // off every raw record crosses the capacity-2 channels, so the
+        // producers are blocked in `send` when the receiver drops; they
+        // must observe the disconnect, flag the region, and let the
+        // restart replay — not deadlock or crash the job.
         let plan = FaultPlan::new(FaultConfig {
             seed: 11,
             kill_list: vec![(1, 4, 0)],
@@ -1607,23 +1500,15 @@ mod tests {
             ..Setup::from(EngineConfig {
                 parallelism: 4,
                 network_buffer_records: 2,
-                combine_buffer_records: 64,
+                combine_enabled: false,
                 ..EngineConfig::default()
             })
         }
         .flink();
-        let part = Arc::new(flowmark_dataflow::partitioner::RangePartitioner::new(vec![
-            5_000u32, 10_000, 15_000,
-        ]));
-        let all: Vec<u32> = env
-            .from_collection((0..20_000u32).collect::<Vec<_>>())
-            .partition_custom(part, |x| *x)
-            .sort_partition(|a, b| a.cmp(b))
-            .collect_partitions()
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(all, (0..20_000u32).collect::<Vec<_>>());
+        let pairs: Vec<(u32, u64)> = (0..20_000).map(|i| (i % 5_000, 1)).collect();
+        let mut counts = env.from_collection(pairs).group_reduce(|a, b| *a += b).collect();
+        counts.sort_unstable();
+        assert_eq!(counts, (0..5_000).map(|k| (k, 4)).collect::<Vec<_>>());
         let rec = env.metrics().recovery();
         assert!(rec.injected_failures >= 1, "the targeted consumer kill must fire");
         assert!(rec.region_restarts >= 1, "the region must have been replayed");

@@ -9,8 +9,14 @@
 //! | data | lazy RDDs with lineage | chained DataSet operators |
 //! | persistence | explicit [`cache::StorageLevel`] | none (recompute) |
 //! | iterations | driver loop unrolling | native operators ([`iterate`]) |
-//! | aggregation | hash or sort-based shuffle | sort-based combine ([`sortbuf`]) |
-//! | memory | one heap budget + GC model | managed segment pool ([`memory`]) |
+//! | aggregation | sort-based combine ([`sortbuf`]), hash reduce | sort-based combine, hash reduce, sorted output |
+//! | memory | heap values + block cache ([`cache`]) | pooled run buffers ([`memory::BufferPool`]) |
+//!
+//! Both expose one closed operator set, the one the workloads lower to:
+//! sources, `map`/`flat_map`/`filter`, whole-partition maps, the checksummed
+//! batch exchange, keyed aggregation and the collect/count actions.
+//! [`memory::HeapBudget`] and [`memory::ManagedPool`] model the heap vs.
+//! managed-segment dichotomy, but no engine path allocates from them yet.
 //!
 //! These engines execute real data on the local machine. They serve two
 //! purposes in the reproduction: (1) proving both execution models compute

@@ -457,21 +457,6 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
         self.ctx.record_span("count", started);
         n
     }
-
-    /// Folds every record with a commutative, associative function.
-    pub fn reduce<F>(&self, f: F) -> Option<T>
-    where
-        F: Fn(T, T) -> T + Send + Sync,
-    {
-        let started = Instant::now();
-        let out = self
-            .run_tasks_owned(|_, part| part.into_iter().reduce(&f))
-            .into_iter()
-            .flatten()
-            .reduce(&f);
-        self.ctx.record_span("reduce", started);
-        out
-    }
 }
 
 struct NarrowOp<T, U, F>
@@ -507,14 +492,7 @@ where
     where
         F: Fn(&mut V, V) + Send + Sync + 'static,
     {
-        self.reduce_by_key_with(f, self.ctx.default_parallelism())
-    }
-
-    /// `reduceByKey` with an explicit partition count.
-    pub fn reduce_by_key_with<F>(&self, f: F, partitions: usize) -> Rdd<(K, V)>
-    where
-        F: Fn(&mut V, V) + Send + Sync + 'static,
-    {
+        let partitions = self.ctx.default_parallelism();
         let combine: CombineFn<V> = Arc::new(f);
         let parent = self.clone();
         let ctx = self.ctx.clone();
@@ -582,93 +560,6 @@ where
                     agg.into_iter().collect()
                 });
             ctx.record_span("shuffle:reduceByKey", started);
-            out
-        }));
-        Rdd::new(self.ctx.clone(), partitions, shuffled)
-    }
-
-    /// `repartitionAndSortWithinPartitions` with an arbitrary partitioner —
-    /// the TeraSort primitive (§III).
-    pub fn repartition_and_sort_within_partitions<P>(&self, partitioner: Arc<P>) -> Rdd<(K, V)>
-    where
-        P: Partitioner<K> + Send + Sync + 'static,
-    {
-        let parent = self.clone();
-        let ctx = self.ctx.clone();
-        let partitions = partitioner.partitions();
-        let shuffled = Arc::new(ShuffleOp::new(partitions, move || {
-            let started = Instant::now();
-            let map_outputs: Vec<_> =
-                runtime::run_stage_items(ctx.metrics(), parent.compute_all(), |_, p| {
-                    partition_records(
-                        p.into_vec(),
-                        partitioner.as_ref(),
-                        ctx.metrics(),
-                        std::mem::size_of::<(K, V)>(),
-                    )
-                });
-            let reduce_inputs = exchange(map_outputs);
-            let reduce_inputs =
-                runtime::run_stage_items(ctx.metrics(), reduce_inputs, |_, mut part| {
-                    part.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    part
-                });
-            ctx.record_span("shuffle:repartitionAndSort", started);
-            reduce_inputs
-        }));
-        Rdd::new(self.ctx.clone(), partitions, shuffled)
-    }
-
-    /// Inner hash join on the key.
-    pub fn join<W>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, (V, W))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let partitions = self.ctx.default_parallelism();
-        let left = self.clone();
-        let right = other.clone();
-        let ctx = self.ctx.clone();
-        let shuffled = Arc::new(ShuffleOp::new(partitions, move || {
-            let started = Instant::now();
-            let partitioner = HashPartitioner::new(partitions);
-            let lo: Vec<_> =
-                runtime::run_stage_items(ctx.metrics(), left.compute_all(), |_, p| {
-                    partition_records(
-                        p.into_vec(),
-                        &partitioner,
-                        ctx.metrics(),
-                        std::mem::size_of::<(K, V)>(),
-                    )
-                });
-            let ro: Vec<_> =
-                runtime::run_stage_items(ctx.metrics(), right.compute_all(), |_, p| {
-                    partition_records(
-                        p.into_vec(),
-                        &partitioner,
-                        ctx.metrics(),
-                        std::mem::size_of::<(K, W)>(),
-                    )
-                });
-            let li = exchange(lo);
-            let ri = exchange(ro);
-            let pairs: Vec<_> = li.into_iter().zip(ri).collect();
-            let out: Vec<Vec<(K, (V, W))>> =
-                runtime::run_stage_items(ctx.metrics(), pairs, |_, (lpart, rpart)| {
-                    let mut table: FxHashMap<K, Vec<V>> = fx_map_with_capacity(lpart.len());
-                    for (k, v) in lpart {
-                        table.entry(k).or_default().push(v);
-                    }
-                    let mut joined = Vec::new();
-                    for (k, w) in rpart {
-                        if let Some(vs) = table.get(&k) {
-                            for v in vs {
-                                joined.push((k.clone(), (v.clone(), w.clone())));
-                            }
-                        }
-                    }
-                    joined
-                });
-            ctx.record_span("shuffle:join", started);
             out
         }));
         Rdd::new(self.ctx.clone(), partitions, shuffled)
@@ -818,248 +709,6 @@ where
     }
 }
 
-// ---- additional narrow/wide transformations -------------------------------
-
-impl<T: Clone + Send + Sync + 'static> Rdd<T> {
-    /// `union`: concatenates two RDDs partition-wise (narrow, no shuffle).
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        let left = self.clone();
-        let right = other.clone();
-        let split = left.num_partitions();
-        let total = split + right.num_partitions();
-        Rdd::new(
-            self.ctx.clone(),
-            total,
-            Arc::new(UnionOp { left, right, split }),
-        )
-    }
-
-    /// `sample`: deterministic Bernoulli sample with the given fraction and
-    /// seed (per-partition deterministic, like Spark's seeded sample).
-    pub fn sample(&self, fraction: f64, seed: u64) -> Rdd<T> {
-        assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
-        let parent = self.clone();
-        Rdd::new(
-            self.ctx.clone(),
-            self.partitions,
-            Arc::new(SampleOp {
-                parent,
-                fraction,
-                seed,
-            }),
-        )
-    }
-
-    /// `coalesce`: merges partitions down to `n` without a shuffle
-    /// (consecutive partitions are concatenated).
-    pub fn coalesce(&self, n: usize) -> Rdd<T> {
-        assert!(n > 0, "coalesce needs at least one partition");
-        let parent = self.clone();
-        let n = n.min(self.partitions);
-        Rdd::new(
-            self.ctx.clone(),
-            n,
-            Arc::new(CoalesceOp { parent, n }),
-        )
-    }
-
-    /// `mapPartitionsWithIndex`: whole-partition map that also sees the
-    /// partition index (Table I lists it for Spark's graph loading).
-    pub fn map_partitions_with_index<U, F>(&self, f: F) -> Rdd<U>
-    where
-        U: Clone + Send + Sync + 'static,
-        F: Fn(usize, &[T]) -> Vec<U> + Send + Sync + 'static,
-    {
-        let parent = self.clone();
-        Rdd::new(
-            self.ctx.clone(),
-            self.partitions,
-            Arc::new(IndexedOp { parent, f }),
-        )
-    }
-
-    /// `take`: the first `n` records in partition order (action).
-    pub fn take(&self, n: usize) -> Vec<T> {
-        let started = Instant::now();
-        let mut out = Vec::with_capacity(n);
-        for p in 0..self.partitions {
-            if out.len() >= n {
-                break;
-            }
-            let part = self.compute(p);
-            out.extend(part.iter().take(n - out.len()).cloned());
-        }
-        self.ctx.record_span("take", started);
-        out
-    }
-}
-
-impl<T> Rdd<T>
-where
-    T: Clone + Send + Sync + std::hash::Hash + Ord + 'static,
-{
-    /// `distinct`: deduplicates via a shuffle (wide).
-    pub fn distinct(&self) -> Rdd<T> {
-        self.map(|t| (t.clone(), ()))
-            .reduce_by_key(|_, _| {})
-            .map(|(t, _)| t.clone())
-    }
-}
-
-impl<K, V> Rdd<(K, V)>
-where
-    K: Clone + Send + Sync + Hash + Ord + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    /// `groupByKey`: full grouping without a combiner (the expensive
-    /// pattern `reduceByKey` exists to avoid).
-    pub fn group_by_key(&self) -> Rdd<(K, Vec<V>)> {
-        self.map(|(k, v)| (k.clone(), vec![v.clone()]))
-            .reduce_by_key(|acc, mut v| acc.append(&mut v))
-    }
-
-    /// `sortByKey`: total sort via a sampled range partitioner.
-    pub fn sort_by_key(&self) -> Rdd<(K, V)> {
-        // Sample inside each partition: only every 7th key is ever cloned,
-        // instead of materialising the full key column on the driver.
-        let sample: Vec<K> = self
-            .map_partitions(|part| part.iter().step_by(7).map(|(k, _)| k.clone()).collect())
-            .collect();
-        let parts = self.ctx.default_parallelism();
-        let partitioner = Arc::new(
-            flowmark_dataflow::partitioner::RangePartitioner::from_sample(sample, parts),
-        );
-        self.repartition_and_sort_within_partitions(partitioner)
-    }
-
-    /// `countByKey` (action).
-    pub fn count_by_key(&self) -> HashMap<K, u64> {
-        self.map(|(k, _)| (k.clone(), 1u64))
-            .reduce_by_key(|a, b| *a += b)
-            .collect_as_map()
-    }
-
-    /// `keys` projection.
-    pub fn keys(&self) -> Rdd<K> {
-        self.map(|(k, _)| k.clone())
-    }
-
-    /// `values` projection.
-    pub fn values(&self) -> Rdd<V> {
-        self.map(|(_, v)| v.clone())
-    }
-
-    /// `cogroup`: groups both sides by key (the substrate of GraphX's
-    /// vertex/edge joins).
-    pub fn cogroup<W>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, (Vec<V>, Vec<W>))>
-    where
-        W: Clone + Send + Sync + 'static,
-    {
-        let left = self.map(|(k, v)| (k.clone(), (Some(v.clone()), None::<W>)));
-        let right = other.map(|(k, w)| (k.clone(), (None::<V>, Some(w.clone()))));
-        left.union(&right)
-            .map(|(k, vw)| (k.clone(), vec![vw.clone()]))
-            .reduce_by_key(|acc, mut v| acc.append(&mut v))
-            .map(|(k, tagged)| {
-                let mut vs = Vec::new();
-                let mut ws = Vec::new();
-                for (v, w) in tagged {
-                    if let Some(v) = v {
-                        vs.push(v.clone());
-                    }
-                    if let Some(w) = w {
-                        ws.push(w.clone());
-                    }
-                }
-                (k.clone(), (vs, ws))
-            })
-    }
-}
-
-struct UnionOp<T> {
-    left: Rdd<T>,
-    right: Rdd<T>,
-    split: usize,
-}
-
-impl<T: Clone + Send + Sync + 'static> RddOp<T> for UnionOp<T> {
-    fn compute(&self, part: usize) -> Partition<T> {
-        if part < self.split {
-            self.left.compute(part)
-        } else {
-            self.right.compute(part - self.split)
-        }
-    }
-}
-
-struct SampleOp<T> {
-    parent: Rdd<T>,
-    fraction: f64,
-    seed: u64,
-}
-
-impl<T: Clone + Send + Sync + 'static> RddOp<T> for SampleOp<T> {
-    fn compute(&self, part: usize) -> Partition<T> {
-        // Deterministic per-record coin flips from a splitmix stream.
-        let data = self.parent.compute(part);
-        let mut x = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(part as u64);
-        let sampled: Vec<T> = data
-            .iter()
-            .filter(|_| {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                let u = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
-                u < self.fraction
-            })
-            .cloned()
-            .collect();
-        sampled.into()
-    }
-}
-
-struct CoalesceOp<T> {
-    parent: Rdd<T>,
-    n: usize,
-}
-
-impl<T: Clone + Send + Sync + 'static> RddOp<T> for CoalesceOp<T> {
-    fn compute(&self, part: usize) -> Partition<T> {
-        let parents = self.parent.num_partitions();
-        let mut out = Vec::new();
-        // Partition `part` owns the parent partitions ≡ part (mod n).
-        let mut p = part;
-        while p < parents {
-            out.append(&mut self.parent.compute(p).into_vec());
-            p += self.n;
-        }
-        out.into()
-    }
-}
-
-struct IndexedOp<T, U, F>
-where
-    F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-{
-    parent: Rdd<T>,
-    f: F,
-}
-
-impl<T, U, F> RddOp<U> for IndexedOp<T, U, F>
-where
-    T: Clone + Send + Sync + 'static,
-    U: Send + Sync,
-    F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-{
-    fn compute(&self, part: usize) -> Partition<U> {
-        (self.f)(part, &self.parent.compute(part)).into()
-    }
-}
-
 /// A shuffle dependency: materialised once, then served per partition —
 /// Spark's shuffle files outliving the stage that wrote them — until the
 /// partition's last consumer takes it ([`RddOp::release`]). A partition
@@ -1104,6 +753,33 @@ mod tests {
         SparkContext::new(4)
     }
 
+    /// TeraSort's shape on the batch path: each of four map tasks routes
+    /// its keys by `range` into one batch per reducer, the exchange moves
+    /// the batches, and each reducer sorts what it received. Returns the
+    /// reducers' keys in partition order.
+    fn range_sorted(
+        sc: &SparkContext,
+        keys: Vec<u64>,
+        range: RangePartitioner<u64>,
+    ) -> Vec<Vec<u64>> {
+        let parts = range.partitions();
+        sc.parallelize(keys, 4)
+            .map_partitions(move |part| {
+                let mut out = vec![Vec::new(); parts];
+                part.iter().for_each(|&k| out[range.partition(&k)].push(k));
+                out.into_iter().enumerate().collect()
+            })
+            .exchange_by_index_with(parts, |batches| {
+                let mut keys = batches.concat();
+                keys.sort_unstable();
+                vec![keys]
+            })
+            .collect_partitions()
+            .into_iter()
+            .map(|batches| batches.concat())
+            .collect()
+    }
+
     #[test]
     fn parallelize_partitions_everything() {
         let sc = ctx();
@@ -1128,8 +804,9 @@ mod tests {
         // A shuffled collect: map tasks build the batches they route, the
         // exchange moves them, and the materialised output leaves by move.
         let shuffled = rdd
-            .map_partitions_with_index(|i, part| {
-                vec![((i + 1) % 4, CountedBatch(part.iter().map(|c| Counted(c.0)).collect()))]
+            .map_partitions(|part| {
+                let to = (part[0].0 as usize / 25 + 1) % 4;
+                vec![(to, CountedBatch(part.iter().map(|c| Counted(c.0)).collect()))]
             })
             .exchange_by_index(4);
         let rows = |bs: &[CountedBatch]| bs.iter().map(|b| b.0.len()).sum::<usize>();
@@ -1236,40 +913,43 @@ mod tests {
     #[test]
     fn repartition_and_sort_sorts_within_partitions() {
         let sc = ctx();
-        let pairs: Vec<(u32, u32)> = (0..1000u32).rev().map(|i| (i, i)).collect();
-        let part = Arc::new(flowmark_dataflow::partitioner::RangePartitioner::new(vec![
-            250u32, 500, 750,
-        ]));
-        let sorted = sc
-            .parallelize(pairs, 4)
-            .repartition_and_sort_within_partitions(part);
-        for p in 0..sorted.num_partitions() {
-            let data = sorted.compute(p);
-            assert!(data.windows(2).all(|w| w[0].0 <= w[1].0), "partition {p}");
+        let keys: Vec<u64> = (0..1000).rev().collect();
+        let parts = range_sorted(&sc, keys, RangePartitioner::new(vec![250, 500, 750]));
+        assert_eq!(parts.len(), 4);
+        for (p, part) in parts.iter().enumerate() {
+            assert!(part.windows(2).all(|w| w[0] <= w[1]), "partition {p}");
         }
-        // Global order: concatenation of partitions is fully sorted.
-        let mut all = Vec::new();
-        for p in 0..sorted.num_partitions() {
-            all.extend(sorted.compute(p).iter().map(|kv| kv.0));
-        }
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
+        // Global order: the concatenation is every key, fully sorted.
+        assert_eq!(parts.concat(), (0..1000).collect::<Vec<u64>>());
     }
 
+    /// The staged engine's join is GraphX's triplet join:
+    /// `aggregate_messages` meets every edge with its source's broadcast
+    /// value and groups the products by destination. A nested loop over
+    /// edges × vertices is the oracle.
     #[test]
     fn join_matches_oracle() {
         let sc = ctx();
-        let left: Vec<(u32, String)> = vec![(1, "a".into()), (2, "b".into()), (2, "c".into())];
-        let right: Vec<(u32, u64)> = vec![(2, 20), (3, 30)];
-        let joined = sc.parallelize(left, 2).join(&sc.parallelize(right, 2));
-        let mut out = joined.collect();
-        out.sort_by(|a, b| a.1 .1.cmp(&b.1 .1).then(a.1 .0.cmp(&b.1 .0)));
-        assert_eq!(
-            out,
-            vec![
-                (2, ("b".to_string(), 20)),
-                (2, ("c".to_string(), 20))
-            ]
+        let edges: Vec<(u64, u64)> = vec![(1, 2), (2, 3), (2, 4), (3, 2), (5, 2), (4, 4)];
+        let graph = crate::graphx::Graph::load(&sc, &edges, 2);
+        let value = |id: u64| 10 * id + 1;
+        let values: Vec<u64> = graph.ids.iter().map(|&id| value(id)).collect();
+        let inbox = graph.aggregate_messages(
+            move |src, targets, out| targets.iter().for_each(|&t| out.to(t, values[src as usize])),
+            |a: u64, b| a + b,
         );
+        let got: HashMap<u64, u64> = (graph.ids.iter().enumerate())
+            .filter_map(|(d, &id)| Some((id, inbox.get(d)?)))
+            .collect();
+        let vertices: std::collections::BTreeSet<u64> =
+            edges.iter().flat_map(|&(s, t)| [s, t]).collect();
+        let mut expect: HashMap<u64, u64> = HashMap::new();
+        for &(src, dst) in &edges {
+            for &id in vertices.iter().filter(|&&id| id == src) {
+                *expect.entry(dst).or_default() += value(id);
+            }
+        }
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -1282,12 +962,11 @@ mod tests {
         let before = sc.metrics().tasks_launched();
         for _ in 0..5 {
             let c = centroid;
-            let sum = sc
-                .parallelize(vec![0.0f64], 1) // trivial guard rdd, unused
-                .map(|_| 0.0)
-                .count(); // keep the driver honest about laziness
-            let _ = sum;
-            centroid = data.map(move |x| x + c).reduce(|a, b| a + b).unwrap() / 100.0;
+            let sums = data
+                .map(move |x| (0u8, x + c))
+                .reduce_by_key(|a, b| *a += b)
+                .collect_as_map();
+            centroid = sums[&0] / 100.0;
             sc.metrics().add_iterations_run(1);
         }
         let launched = sc.metrics().tasks_launched() - before;
@@ -1296,69 +975,93 @@ mod tests {
         assert_eq!(sc.metrics().iterations_run(), 5);
     }
 
+    /// A reduce partition of the batch exchange is the concatenation of
+    /// every batch routed to it, from every map partition.
     #[test]
     fn union_concatenates() {
         let sc = ctx();
-        let a = sc.parallelize(vec![1u32, 2], 2);
-        let b = sc.parallelize(vec![3u32, 4, 5], 2);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 4);
-        let mut all = u.collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3, 4, 5]);
+        let batches = vec![(0usize, vec![1u64, 2]), (1, vec![9]), (0, vec![3, 4]), (0, vec![5])];
+        let merged = sc.parallelize(batches, 2).exchange_by_index(2);
+        assert_eq!(merged.num_partitions(), 2);
+        let parts = merged.collect_partitions();
+        let mut first = parts[0].concat();
+        first.sort_unstable();
+        assert_eq!(first, vec![1, 2, 3, 4, 5]);
+        assert_eq!(parts[1].concat(), vec![9]);
     }
 
     #[test]
     fn distinct_deduplicates() {
         let sc = ctx();
         let rdd = sc.parallelize(vec![3u32, 1, 3, 2, 1, 1], 3);
-        let mut out = rdd.distinct().collect();
+        let unique = rdd.map(|&x| (x, ())).reduce_by_key(|_, _| {}).collect();
+        let mut out: Vec<u32> = unique.into_iter().map(|(x, _)| x).collect();
         out.sort_unstable();
         assert_eq!(out, vec![1, 2, 3]);
     }
 
+    /// The range partitioner `reduce_by_key` builds from every 7th key
+    /// repeats run to run and splits the keys in proportion.
     #[test]
     fn sample_is_deterministic_and_proportional() {
-        let sc = ctx();
-        let rdd = sc.parallelize((0..10_000u32).collect::<Vec<_>>(), 4);
-        let s1 = rdd.sample(0.25, 7).count();
-        let s2 = rdd.sample(0.25, 7).count();
-        assert_eq!(s1, s2);
-        assert!((s1 as f64 - 2500.0).abs() < 300.0, "sampled {s1}");
-        assert_eq!(rdd.sample(0.0, 7).count(), 0);
-        assert_eq!(rdd.sample(1.0, 7).count(), 10_000);
+        let run = || {
+            let sc = Setup::from(EngineConfig {
+                parallelism: 4,
+                partitioner: PartitionerChoice::Range,
+                ..EngineConfig::default()
+            })
+            .spark();
+            let pairs: Vec<(u32, u64)> = (0..10_000).map(|k| (k, 1)).collect();
+            let parts = sc.parallelize(pairs, 4).reduce_by_key(|a, b| *a += b).collect_partitions();
+            parts
+                .into_iter()
+                .map(|part| {
+                    let mut keys: Vec<u32> = part.into_iter().map(|(k, _)| k).collect();
+                    keys.sort_unstable();
+                    keys
+                })
+                .collect::<Vec<_>>()
+        };
+        let parts = run();
+        assert_eq!(parts, run());
+        for part in &parts {
+            assert!((part.len() as f64 - 2500.0).abs() < 300.0, "routed {}", part.len());
+        }
+        assert_eq!(parts.concat(), (0..10_000).collect::<Vec<u32>>(), "ranges are ordered");
     }
 
+    /// Exchanging eight partitions into three keeps every record.
     #[test]
     fn coalesce_preserves_data() {
         let sc = ctx();
-        let rdd = sc.parallelize((0..100u32).collect::<Vec<_>>(), 8);
-        let c = rdd.coalesce(3);
-        assert_eq!(c.num_partitions(), 3);
-        let mut all = c.collect();
+        let merged = sc
+            .parallelize((0..100u64).collect::<Vec<_>>(), 8)
+            .map_partitions(|part| vec![(part[0] as usize % 3, part.to_vec())])
+            .exchange_by_index(3);
+        assert_eq!(merged.num_partitions(), 3);
+        let mut all = merged.collect().concat();
         all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<u32>>());
-        // Coalescing beyond the parent count clamps.
-        assert_eq!(rdd.coalesce(100).num_partitions(), 8);
+        assert_eq!(all, (0..100).collect::<Vec<u64>>());
     }
 
+    /// Task `i` of `map_partitions` sees the whole of chunk `i`.
     #[test]
     fn map_partitions_with_index_sees_indices() {
         let sc = ctx();
-        let rdd = sc.parallelize(vec![0u32; 12], 4);
-        let tagged = rdd.map_partitions_with_index(|i, part| vec![(i, part.len())]);
-        let mut out = tagged.collect();
-        out.sort_unstable();
-        assert_eq!(out, vec![(0, 3), (1, 3), (2, 3), (3, 3)]);
+        let rdd = sc.parallelize((0..12u32).collect::<Vec<_>>(), 4);
+        let tagged = rdd.map_partitions(|part| vec![(part[0], part.len())]);
+        let expect: Vec<Vec<(u32, usize)>> = (0..4).map(|i| vec![(3 * i, 3)]).collect();
+        assert_eq!(tagged.collect_partitions(), expect);
     }
 
     #[test]
     fn take_respects_partition_order() {
         let sc = ctx();
         let rdd = sc.parallelize((0..100u32).collect::<Vec<_>>(), 4);
-        assert_eq!(rdd.take(5), vec![0, 1, 2, 3, 4]);
-        assert_eq!(rdd.take(0).len(), 0);
-        assert_eq!(rdd.take(1000).len(), 100);
+        assert_eq!(rdd.collect(), (0..100).collect::<Vec<u32>>());
+        let parts = rdd.collect_partitions();
+        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), vec![25; 4]);
+        assert_eq!(parts[0][..5], [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1366,37 +1069,52 @@ mod tests {
         let sc = ctx();
         let pairs: Vec<(u32, u32)> = vec![(1, 10), (2, 20), (1, 11), (1, 12)];
         let rdd = sc.parallelize(pairs, 2);
-        let grouped = rdd.group_by_key().collect_as_map();
+        let grouped = rdd
+            .map(|&(k, v)| (k, vec![v]))
+            .reduce_by_key(|acc, mut v| acc.append(&mut v))
+            .collect_as_map();
         let mut ones = grouped[&1].clone();
         ones.sort_unstable();
         assert_eq!(ones, vec![10, 11, 12]);
         assert_eq!(grouped[&2], vec![20]);
-        let counts = rdd.count_by_key();
+        let counts = rdd
+            .map(|&(k, _)| (k, 1u64))
+            .reduce_by_key(|a, b| *a += b)
+            .collect_as_map();
         assert_eq!(counts[&1], 3);
         assert_eq!(counts[&2], 1);
     }
 
+    /// TeraSort's total order: split points sampled from every 7th key,
+    /// then the range exchange and a sort within each partition.
     #[test]
     fn sort_by_key_totally_orders() {
         let sc = ctx();
-        let pairs: Vec<(u32, u32)> = (0..500u32).rev().map(|i| (i, i)).collect();
-        let sorted = sc.parallelize(pairs, 4).sort_by_key();
-        let mut all = Vec::new();
-        for p in 0..sorted.num_partitions() {
-            all.extend(sorted.compute(p).iter().map(|kv| kv.0));
-        }
-        assert_eq!(all.len(), 500);
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
+        let keys: Vec<u64> = (0..500).rev().collect();
+        let sample = sc
+            .parallelize(keys.clone(), 4)
+            .map_partitions(|part| part.iter().step_by(7).copied().collect())
+            .collect();
+        let parts = range_sorted(&sc, keys, RangePartitioner::from_sample(sample, 4));
+        assert_eq!(parts.len(), 4);
+        assert!(parts.iter().all(|p| !p.is_empty()), "sampled splits leave no partition empty");
+        assert_eq!(parts.concat(), (0..500).collect::<Vec<u64>>());
     }
 
+    /// Both inputs, tagged by side, grouped by one `reduce_by_key`.
     #[test]
     fn cogroup_groups_both_sides() {
         let sc = ctx();
-        let left: Vec<(u32, &str)> = vec![(1, "a"), (1, "b"), (2, "c")];
-        let right: Vec<(u32, u32)> = vec![(1, 10), (3, 30)];
-        let left = sc.parallelize(left.into_iter().map(|(k, v)| (k, v.to_string())).collect::<Vec<_>>(), 2);
-        let right = sc.parallelize(right, 2);
-        let cg = left.cogroup(&right).collect_as_map();
+        let left =
+            [(1u32, "a"), (1, "b"), (2, "c")].map(|(k, v)| (k, (vec![v.to_string()], vec![])));
+        let right = [(1u32, 10u32), (3, 30)].map(|(k, w)| (k, (vec![], vec![w])));
+        let cg = sc
+            .parallelize(left.into_iter().chain(right).collect::<Vec<_>>(), 2)
+            .reduce_by_key(|acc, (mut vs, mut ws)| {
+                acc.0.append(&mut vs);
+                acc.1.append(&mut ws);
+            })
+            .collect_as_map();
         let (mut vs, ws) = cg[&1].clone();
         vs.sort();
         assert_eq!(vs, vec!["a".to_string(), "b".to_string()]);
@@ -1411,10 +1129,10 @@ mod tests {
     fn keys_values_projections() {
         let sc = ctx();
         let rdd = sc.parallelize(vec![(1u32, "x".to_string()), (2, "y".to_string())], 2);
-        let mut ks = rdd.keys().collect();
+        let mut ks = rdd.map(|(k, _)| *k).collect();
         ks.sort_unstable();
         assert_eq!(ks, vec![1, 2]);
-        let mut vs = rdd.values().collect();
+        let mut vs = rdd.map(|(_, v)| v.clone()).collect();
         vs.sort();
         assert_eq!(vs, vec!["x".to_string(), "y".to_string()]);
     }

@@ -686,9 +686,15 @@ proptest! {
 /// Random edges over `0..n` plus every shape the dense-id CSR build has to
 /// get right: a self-loop, a triplicated edge, a sink-only vertex behind a
 /// sparse id, and a pair no other edge touches (its source nothing reaches,
-/// its target isolated). Small `n` leaves fewer vertices than partitions.
+/// its target isolated). Half the cases draw a small `n`, which leaves fewer
+/// vertices than partitions. The other half draw `n` in `448..1024` and two
+/// to seven edges per id, so four to seven of a 7-way mesh's 64-rounded
+/// worker ranges hold vertices and messages cross between workers.
 fn awkward_graph() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    (1u64..30, prop::collection::vec((0u64..1000, 0u64..1000), 1..150)).prop_map(|(n, raw)| {
+    let small = (1u64..30, prop::collection::vec((0u64..1000, 0u64..1000), 1..150));
+    let populated = (448u64..1024, prop::collection::vec((0u64..1024, 0u64..1024), 2048..3072));
+    (any::<bool>(), small, populated).prop_map(|(large, small, populated)| {
+        let (n, raw) = if large { populated } else { small };
         let mut edges: Vec<(u64, u64)> = raw.into_iter().map(|(s, t)| (s % n, t % n)).collect();
         let first = edges[0];
         edges.extend([(0, 0), first, first, (n - 1, 5_000), (7_000, 9_000)]);

@@ -10,7 +10,7 @@
 # CPU milliseconds and minor faults per job. A run is time-boxed, so a faster
 # build finishes more jobs in the same wall time: compare the per-job
 # figures. A wall-clock gain with flat CPU per job is ambient, not a saving.
-# Writes nothing.
+# Writes nothing. The accounting lives in tools/rusage.py.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -18,25 +18,21 @@ if [ $# -lt 2 ] || [ $# -gt 3 ]; then
     exit 2
 fi
 
-python3 - "$1" "$2" "${3:-9}" <<'PY'
-import json, resource, subprocess, sys, time
+PYTHONPATH="$(dirname "$0")" PYTHONDONTWRITEBYTECODE=1 python3 - "$1" "$2" "${3:-9}" <<'PY'
+import sys
+from rusage import per_job, run
 
 flowbench, workload, seed = sys.argv[1:4]
-start = time.monotonic()
-out = subprocess.run(
-    [flowbench, "run", "--workload", workload, "--seed", seed, "--trace", "0"],
-    check=True, stdout=subprocess.PIPE, text=True,
-).stdout
-wall = time.monotonic() - start
-usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-cpu = usage.ru_utime + usage.ru_stime
-jobs = json.loads(out.strip().splitlines()[-1])["attempted"]
+report, usage = run(flowbench, workload, seed)
+cpu = usage["user_s"] + usage["sys_s"]
+jobs = report["attempted"]
 print(f"{workload} seed {seed}")
-print(f"  wall_s          {wall:10.3f}")
-print(f"  cpu_s           {cpu:10.3f}   (user {usage.ru_utime:.3f} + sys {usage.ru_stime:.3f})")
-print(f"  minor_faults    {usage.ru_minflt:10d}")
+print(f"  wall_s          {usage['wall_s']:10.3f}")
+print(f"  cpu_s           {cpu:10.3f}   (user {usage['user_s']:.3f} + sys {usage['sys_s']:.3f})")
+print(f"  minor_faults    {usage['minor_faults']:10d}")
 print(f"  jobs            {jobs:10d}")
 if jobs:
-    print(f"  cpu_ms_per_job  {cpu * 1e3 / jobs:10.2f}")
-    print(f"  faults_per_job  {usage.ru_minflt / jobs:10.1f}")
+    job = per_job(report, usage)
+    print(f"  cpu_ms_per_job  {job['cpu_ms_per_job']:10.2f}")
+    print(f"  faults_per_job  {job['faults_per_job']:10.1f}")
 PY
