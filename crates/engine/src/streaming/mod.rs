@@ -44,11 +44,13 @@
 //! than one channel send per record. Watermarks ride **in-band** inside
 //! the slab at their exact stream position, so slabs span watermark ticks
 //! and flush only at barriers or stream end; tasks fold each
-//! between-watermark run through [`StreamOperator::on_batch`] and sinks
-//! receive whole output batches. Per-partition ordering of events and
-//! watermarks is identical to the per-event transport, so every committed
-//! `(epoch, result)` sequence is byte-equal to `slab_rows: 1` — proptested
-//! under arbitrary kill schedules.
+//! between-watermark run through [`StreamOperator::on_batch`], and
+//! everything a slab produces — its runs' outputs and its watermark
+//! firings — reaches the sink as one `SinkMsg::Items`. Windows fire in
+//! one ordered pass over the open-window tree. Per-partition ordering of
+//! events and watermarks is identical to the per-event transport, so
+//! every committed `(epoch, result)` sequence is byte-equal to
+//! `slab_rows: 1` — proptested under arbitrary kill schedules.
 
 pub mod model;
 pub mod runtime;

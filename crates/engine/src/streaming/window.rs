@@ -61,7 +61,7 @@ impl WindowAssigner {
 
     /// Calls `f(start, end)` for every non-merging window containing `t`,
     /// without allocating the `Vec` that [`WindowAssigner::assign`]
-    /// returns — the batch fold's per-event hot path.
+    /// returns — both folds' per-event hot path.
     ///
     /// # Panics
     /// Panics for session assigners: merged windows have no static
@@ -250,19 +250,17 @@ impl<In: Clone + Send + 'static> StreamOperator for WindowedAggregate<In> {
         };
         if self.assigner.merging() {
             self.fold_session(key, event.time, value);
-        } else {
-            for (start, end) in self.assigner.assign(event.time) {
-                let w = self
-                    .windows
-                    .entry((key, start))
-                    .or_insert(OpenWindow {
-                        end,
-                        acc: WindowAcc::default(),
-                    });
-                debug_assert_eq!(w.end, end, "window ({key},{start}) changed its end");
-                w.acc.fold(value);
-            }
+            return;
         }
+        let windows = &mut self.windows;
+        self.assigner.for_each_window(event.time, |start, end| {
+            let w = windows.entry((key, start)).or_insert(OpenWindow {
+                end,
+                acc: WindowAcc::default(),
+            });
+            debug_assert_eq!(w.end, end, "window ({key},{start}) changed its end");
+            w.acc.fold(value);
+        });
     }
 
     /// Batch fold: the slab is flattened into dense slot ids (one slot per
@@ -332,26 +330,23 @@ impl<In: Clone + Send + 'static> StreamOperator for WindowedAggregate<In> {
     }
 
     fn on_watermark(&mut self, watermark: u64, out: &mut Vec<WindowResult>) {
-        // A window fires when the watermark passes its end. BTreeMap
-        // iteration keeps emission order canonical per key.
-        let ripe: Vec<(u64, u64)> = self
-            .windows
-            .iter()
-            .filter(|(_, w)| w.end <= watermark)
-            .map(|(&k, _)| k)
-            .collect();
-        for (key, start) in ripe {
-            if let Some(w) = self.windows.remove(&(key, start)) {
-                out.push(WindowResult {
-                    key,
-                    start,
-                    end: w.end,
-                    sum: w.acc.sum,
-                    count: w.acc.count,
-                    max: w.acc.max,
-                });
+        // A window fires when the watermark passes its end. One ordered
+        // `retain` pass (ascending `(key, start)`, so emission order is
+        // canonical) pushes and drops every ripe window in place.
+        self.windows.retain(|&(key, start), w| {
+            if w.end > watermark {
+                return true;
             }
-        }
+            out.push(WindowResult {
+                key,
+                start,
+                end: w.end,
+                sum: w.acc.sum,
+                count: w.acc.count,
+                max: w.acc.max,
+            });
+            false
+        });
     }
 
     fn state(&self) -> Self::State {
@@ -492,6 +487,39 @@ mod tests {
                 );
             }
             assert!(out.is_empty(), "no immediate outputs expected");
+        }
+    }
+
+    #[test]
+    fn on_watermark_fires_exactly_the_ripe_windows_in_key_order() {
+        let events: Vec<StreamEvent<(u64, u64)>> = (0..80u64)
+            .map(|i| StreamEvent::new((i * 11) % 53, (i % 4, i * 3 + 1)))
+            .collect();
+        for assigner in [
+            WindowAssigner::Tumbling { size: 10 },
+            WindowAssigner::Sliding { size: 12, slide: 4 },
+            WindowAssigner::Session { gap: 3 },
+        ] {
+            let mut op = WindowedAggregate::new(assigner, kv);
+            let mut out = Vec::new();
+            op.on_batch(&events, &mut out);
+            assert!(out.is_empty());
+            for wm in [0, 9, 10, 24, 25, 40, u64::MAX] {
+                let (ripe, unripe): (Vec<[u64; 6]>, Vec<[u64; 6]>) =
+                    op.state().into_iter().partition(|row| row[2] <= wm);
+                op.on_watermark(wm, &mut out);
+                let fired: Vec<[u64; 6]> = out
+                    .drain(..)
+                    .map(|w| [w.key, w.start, w.end, w.sum, w.count, w.max])
+                    .collect();
+                assert_eq!(fired, ripe, "{assigner:?} at watermark {wm}");
+                assert!(
+                    fired.windows(2).all(|p| (p[0][0], p[0][1]) < (p[1][0], p[1][1])),
+                    "{assigner:?} fired out of (key, start) order at {wm}"
+                );
+                assert_eq!(op.state(), unripe, "{assigner:?} kept the wrong windows at {wm}");
+            }
+            assert_eq!(op.open_windows(), 0);
         }
     }
 

@@ -10,12 +10,16 @@
 # of *all* pairs, a tie counting for neither side, and its median is better
 # than the parent's by more than that range); and every (workload, metric)
 # whose change median is worse than the parent's by more than the metric's
-# bound. ~20 s a pair and workload; run nothing else meanwhile. Run from the
-# repository root.
+# bound. The claim line also shows the claimed workload's CPU ms per job
+# (ratio and wins) and is flagged "ambient?" when CPU per job did not fall
+# on at least 9 in 10 pairs: a wall-clock win without a CPU saving may be
+# load on the box. The flag is advisory only; the holds / NOT MET verdict
+# and the regression list are computed exactly as without it. ~20 s a pair
+# and workload; run nothing else meanwhile. Run from the repository root.
 set -euo pipefail
 
 if [ $# -ne 3 ] && [ $# -ne 5 ]; then
-    sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,18p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent=$1 change=$2 pairs=$3 claim_workload=${4:-} claim_metric=${5:-}
@@ -31,7 +35,7 @@ import json, sys
 
 tables, claim_workload, claim_metric = sys.argv[1:4]
 spec = {m["name"]: m for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
-rows, failed, workload = [], [], None
+rows, failed, workload, cpu = [], [], None, {}
 for line in open(tables):
     cells = line.split()
     if cells and cells[0].endswith(":") and "interleaved" in line:
@@ -42,6 +46,8 @@ for line in open(tables):
     elif cells and cells[0] in spec:
         pm, pi, cm, ci = map(float, cells[1:5])
         rows.append((workload, cells[0], pm, pi, cm, ci, cells[6], cells[7]))
+    elif cells and cells[0] == "cpu_ms_per_job":
+        cpu[workload] = (float(cells[1]), float(cells[3]), cells[6])
 
 print("\nverdict")
 for line in failed:
@@ -51,9 +57,14 @@ for w, name, pm, pi, cm, ci, wins, ties in rows:
         won, pairs = map(int, wins.split("/"))
         gain = cm - pm if spec[name]["better"] == "higher" else pm - cm
         holds = pairs > 0 and won * 10 >= pairs * 9 and gain > pi
+        cpu_pm, cpu_cm, cpu_wins = cpu.get(w, (float("nan"), float("nan"), "0/0"))
+        cpu_won, cpu_pairs = map(int, cpu_wins.split("/"))
+        ambient = not (cpu_pairs > 0 and cpu_won * 10 >= cpu_pairs * 9)
         print(f"  claim        {w} {name}: wins {wins}, ties {ties}, parent {pm:.6g} (IQR {pi:.4g}), "
               f"change {cm:.6g} (IQR {ci:.4g}), ratio {cm / pm:.2f} -> "
-              f"{'holds' if holds else 'NOT MET'}")
+              f"{'holds' if holds else 'NOT MET'}; cpu_ms_per_job ratio "
+              f"{cpu_cm / cpu_pm if cpu_pm else float('nan'):.2f}, wins {cpu_wins}"
+              f"{' (ambient?)' if ambient else ''}")
 worse = []
 for w, name, pm, pi, cm, ci, wins, ties in rows:
     bound, higher = spec[name]["bound"], spec[name]["better"] == "higher"
