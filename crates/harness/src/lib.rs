@@ -10,6 +10,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod chaos;
+pub mod drill;
 pub mod error;
 pub mod experiments;
 pub mod mix;

@@ -7,19 +7,27 @@
 //! repro calibration       # paper-vs-simulated calibration table
 //! repro all               # regenerate EXPERIMENTS.md content to stdout
 //! repro chaos             # fault-injection drill: kill + straggle every workload
-//! repro tune --smoke      # bottleneck-guided auto-tune of both engines, write BENCH_PR3.json
-//! repro soak --smoke      # chaos-soak the supervised job service, write BENCH_PR4.json
+//! repro stream --smoke    # event-time streaming drill: Nexmark q3/q6, clean and armed
+//! repro tune --smoke      # bottleneck-guided auto-tune of both engines
+//! repro soak --smoke      # chaos-soak the supervised job service
 //! ```
 //!
-//! Every fallible path (bad flags, unwritable `--out`, invalid experiment
+//! Every drill prints its report, writes its JSON only when given `--out
+//! FILE`, and exits 1 when one of its invariants is violated. Every other
+//! fallible path (bad flags, unwritable `--out`, invalid experiment
 //! configs) surfaces a [`HarnessError`] and a non-zero exit, never a panic.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use flowmark_core::report::{render_correlation, render_figure, render_series};
 use flowmark_core::telemetry::ResourceKind;
+use flowmark_harness::chaos::{self, ChaosConfig};
+use flowmark_harness::drill::Scale;
 use flowmark_harness::experiments::{self, ResourceFigure};
-use flowmark_harness::{calibration_report, check_shape, paper, report, HarnessError};
+use flowmark_harness::mix::{self, MixScale};
+use flowmark_harness::soak::{self, SoakConfig, SoakScale};
+use flowmark_harness::tune::{self, TuneOptions};
+use flowmark_harness::{calibration_report, check_shape, paper, report, stream, HarnessError};
 use flowmark_sim::Calibration;
 
 fn print_resource_figure(rf: &ResourceFigure) {
@@ -73,6 +81,30 @@ fn write_file(path: &str, contents: String) -> Result<(), HarnessError> {
     std::fs::write(path, contents).map_err(|e| HarnessError::io(path, e))
 }
 
+/// Every drill's exit: prints the rendered report, writes its JSON to
+/// `--out` when given, prints each violation as `{drill}: {v}` on stderr
+/// and exits 1 if there were any.
+fn finish<T: serde::Serialize>(
+    drill: &str,
+    rest: &[String],
+    text: &str,
+    report: &T,
+    violations: &[String],
+) -> Result<(), HarnessError> {
+    print!("{text}");
+    if let Some(path) = flag_value(rest, "--out") {
+        write_file(&path, serde_json::to_string_pretty(report)? + "\n")?;
+        println!("wrote {path}");
+    }
+    for v in violations {
+        eprintln!("{drill}: {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
+    Ok(())
+}
+
 fn main() {
     if let Err(e) = run() {
         eprintln!("repro: {e}");
@@ -83,6 +115,8 @@ fn main() {
 fn run() -> Result<(), HarnessError> {
     let cal = Calibration::default();
     let arg = std::env::args().nth(1).unwrap_or_else(|| "list".into());
+    let rest: Vec<String> = std::env::args().skip(2).collect();
+    let has = |name: &str| rest.iter().any(|a| a == name);
     match arg.as_str() {
         "list" => {
             let ids: Vec<&str> = experiments::TIME_FIGURES.iter().map(|f| f.id).collect();
@@ -98,130 +132,73 @@ fn run() -> Result<(), HarnessError> {
             println!("tuning       : tune [--smoke] [--seed N] [--out FILE]");
         }
         "soak" => {
-            use flowmark_harness::soak::{self, SoakConfig, SoakScale};
-            let rest: Vec<String> = std::env::args().skip(2).collect();
             let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
+            let smoke = has("--smoke");
             if let Some(jobs) = parsed_flag::<usize>(&rest, "--mix-concurrent")? {
-                use flowmark_harness::mix::{self, MixScale};
-                let scale = if rest.iter().any(|a| a == "--smoke") {
+                let scale = if smoke {
                     MixScale::smoke()
                 } else {
                     MixScale::full(jobs)
                 };
                 let report = mix::run_mix(seed, scale);
-                print!("{}", mix::render(&report));
-                let out_path =
-                    flag_value(&rest, "--out").unwrap_or_else(|| "BENCH_PR8.json".into());
-                let json = serde_json::to_string_pretty(&report)?;
-                write_file(&out_path, json + "\n")?;
-                println!("wrote {out_path}");
                 // The throughput gate is an artifact-scale claim; smoke
                 // runs keep the structural gates only.
-                let min_speedup = if rest.iter().any(|a| a == "--smoke") {
-                    0.0
-                } else {
-                    1.3
-                };
-                let violations = report.violations(min_speedup);
-                if !violations.is_empty() {
-                    for v in &violations {
-                        eprintln!("mix-concurrent violation: {v}");
-                    }
-                    std::process::exit(1);
-                }
-                return Ok(());
+                let bad = report.violations(if smoke { 0.0 } else { 1.3 });
+                let text = mix::render(&report);
+                return finish("mix-concurrent", &rest, &text, &report, &bad);
             }
-            let scale = if rest.iter().any(|a| a == "--smoke") {
+            let scale = if smoke {
                 SoakScale::smoke()
             } else {
                 SoakScale::full()
             };
             let report = soak::run_soak(SoakConfig::new(seed), scale);
-            print!("{}", soak::render(&report));
-            if let Some(out_path) = flag_value(&rest, "--out") {
-                let json = serde_json::to_string_pretty(&report)?;
-                write_file(&out_path, json + "\n")?;
-                println!("wrote {out_path}");
-            }
-            if !report.passed() {
-                eprintln!("soak invariants violated");
-                std::process::exit(1);
-            }
+            let text = soak::render(&report);
+            finish("soak", &rest, &text, &report, &report.violations())?;
         }
         "tune" => {
-            use flowmark_harness::tune::{self, TuneOptions};
-            let rest: Vec<String> = std::env::args().skip(2).collect();
             let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
-            let opts = if rest.iter().any(|a| a == "--smoke") {
+            let opts = if has("--smoke") {
                 TuneOptions::smoke(seed)
             } else {
                 TuneOptions::full(seed)
             };
             let report = tune::run_tune(&opts);
-            print!("{}", tune::render(&report));
-            let out_path = flag_value(&rest, "--out").unwrap_or_else(|| "BENCH_PR3.json".into());
-            let json = serde_json::to_string_pretty(&report)?;
-            write_file(&out_path, json + "\n")?;
-            println!("wrote {out_path}");
-            if report.cells.iter().any(|c| !c.all_verified) {
-                eprintln!("a tuning trial diverged from the sequential oracle");
-                std::process::exit(1);
-            }
+            let bad: Vec<String> = report
+                .cells
+                .iter()
+                .filter(|c| !c.all_verified)
+                .map(|c| format!("{}-{}: a trial diverged from the oracle", c.workload, c.engine))
+                .collect();
+            finish("tune", &rest, &tune::render(&report), &report, &bad)?;
         }
         "stream" => {
-            use flowmark_harness::stream::{self, StreamScale};
-            let rest: Vec<String> = std::env::args().skip(2).collect();
             let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
-            let scale = if rest.iter().any(|a| a == "--smoke") {
-                StreamScale::smoke()
+            let scale = if has("--smoke") {
+                Scale::small()
             } else {
-                StreamScale::full()
+                Scale::full()
             };
-            let report = stream::run_stream(seed, scale);
-            print!("{}", stream::render(&report));
-            let out_path = flag_value(&rest, "--out").unwrap_or_else(|| "BENCH_PR9.json".into());
-            let json = serde_json::to_string_pretty(&report)?;
-            write_file(&out_path, json + "\n")?;
-            println!("wrote {out_path}");
-            let violations = report.violations();
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("stream: {v}");
-                }
-                std::process::exit(1);
-            }
+            let (report, bad) = stream::run_stream(seed, &scale, true);
+            let text = stream::render(&scale, &report);
+            finish("stream", &rest, &text, &report, &bad)?;
         }
         "chaos" => {
-            use flowmark_harness::chaos::{self, ChaosConfig, ChaosScale};
-            let rest: Vec<String> = std::env::args().skip(2).collect();
-            // The streaming drill is its own cell grid: q3/q6 on both
+            let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
+            let scale = if has("--tiny") {
+                Scale::small()
+            } else {
+                Scale::full()
+            };
+            // The streaming drill is its own grid: q3/q6 on both
             // checkpointed runtimes, every cell armed with the corruption
             // preset and held to the full detect-and-recover chain.
-            if rest.iter().any(|a| a == "--streaming") {
-                use flowmark_harness::stream::{self, StreamScale};
-                let seed: u64 = parsed_flag(&rest, "--seed")?.unwrap_or(1);
-                let scale = if rest.iter().any(|a| a == "--tiny") {
-                    StreamScale::smoke()
-                } else {
-                    StreamScale::full()
-                };
-                let report = stream::run_stream_chaos(seed, scale);
-                print!("{}", stream::render(&report));
-                if let Some(out_path) = flag_value(&rest, "--out") {
-                    let json = serde_json::to_string_pretty(&report)?;
-                    write_file(&out_path, json + "\n")?;
-                    println!("wrote {out_path}");
-                }
-                let violations = report.violations();
-                if !violations.is_empty() {
-                    for v in &violations {
-                        eprintln!("chaos: {v}");
-                    }
-                    std::process::exit(1);
-                }
-                return Ok(());
+            if has("--streaming") {
+                let (report, bad) = stream::run_stream(seed, &scale, false);
+                let text = stream::render(&scale, &report);
+                return finish("chaos", &rest, &text, &report, &bad);
             }
-            let mut config = ChaosConfig::new(parsed_flag(&rest, "--seed")?.unwrap_or(1u64));
+            let mut config = ChaosConfig::new(seed);
             if let Some(p) = parsed_flag(&rest, "--fail-prob")? {
                 config.task_failure_prob = p;
             }
@@ -230,27 +207,12 @@ fn run() -> Result<(), HarnessError> {
             }
             // Corruption mode layers deterministic bit rot — in-flight batch
             // damage plus a rotten checkpoint snapshot — on top of the
-            // kill/straggler plan for every batch-migrated cell.
-            config.corruption = rest.iter().any(|a| a == "--corruption");
-            let scale = if rest.iter().any(|a| a == "--tiny") {
-                ChaosScale::tiny()
-            } else {
-                ChaosScale::full()
-            };
-            let report = chaos::run_chaos(config, scale);
-            print!("{}", chaos::render(&report));
-            if let Some(out_path) = flag_value(&rest, "--out") {
-                let json = serde_json::to_string_pretty(&report)?;
-                write_file(&out_path, json + "\n")?;
-                println!("wrote {out_path}");
-            }
-            let violations = chaos::integrity_violations(&report);
-            if !violations.is_empty() {
-                for v in &violations {
-                    eprintln!("chaos: {v}");
-                }
-                std::process::exit(1);
-            }
+            // kill/straggler plan for every batch-path cell.
+            config.corruption = has("--corruption");
+            let report = chaos::run_chaos(config, &scale);
+            let bad = chaos::integrity_violations(&report.rows);
+            let text = chaos::render(&config, &scale, &report);
+            finish("chaos", &rest, &text, &report, &bad)?;
         }
         "table1" => {
             use flowmark_core::config::Framework;

@@ -23,12 +23,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use flowmark_core::config::{EngineConfig, FairShareConfig, Framework, ServiceConfig, TenantSpec};
+use flowmark_core::stats::percentile;
 use flowmark_engine::{FragmentHandle, Setup};
 use flowmark_sched::{FragmentCache, FragmentKey};
 use flowmark_serve::{HealthSnapshot, JobRequest, JobService, Resolution};
 use flowmark_workloads::cell::{Cell, Sizes};
 use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
+
+use crate::drill::ledger_violations;
 
 /// The three mixed workloads. Word Count and TeraSort route through the
 /// batch exchange and are fragment-cacheable; Grep is pure scheduling
@@ -117,7 +120,7 @@ struct PassShared {
     fragment_cache_hits: AtomicU64,
 }
 
-/// One pass of the A/B drill, serialized into `BENCH_PR8.json`.
+/// One pass of the A/B drill, as the `--out` JSON carries it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PassStats {
     /// `"fifo-no-cache"` or `"fair-shared-pool"`.
@@ -205,15 +208,11 @@ impl MixReport {
             if pass.failed != 0 {
                 v.push(format!("{label}: {} job(s) failed", pass.failed));
             }
-            if !pass.health.drained() {
-                v.push(format!("{label}: service ledger does not balance"));
-            }
-            if pass.health.budget_in_use_bytes != 0 {
-                v.push(format!(
-                    "{label}: {} B still reserved after shutdown",
-                    pass.health.budget_in_use_bytes
-                ));
-            }
+            v.extend(
+                ledger_violations(&pass.health)
+                    .into_iter()
+                    .map(|m| format!("{label}: {m}")),
+            );
         }
         if self.fair.tasks_stolen == 0 {
             v.push("mechanism never exercised: task steal in the shared pool".into());
@@ -322,18 +321,8 @@ fn job_body(
             lat.push(submitted.elapsed().as_secs_f64() * 1e3);
         }
         run.verdict
-            .into_result(&format!("{}/{engine:?}", cell.workload().name()))
+            .into_result(&format!("{}/{engine:?}", cell.name()))
     })
-}
-
-/// Nearest-rank percentile of an unsorted latency sample.
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
 }
 
 /// Runs one pass: submit every job up front, wait for all resolutions,
@@ -370,16 +359,20 @@ fn run_pass(
             Framework::Flink
         };
         let cell = &cells[(i / 2) % cells.len()];
-        let workload = cell.workload();
         // Word Count and TeraSort repeat identical (plan, input, config)
         // jobs across tenants, so every job after the first per
         // (workload, engine) is a fragment-cache hit candidate.
         let job_cache = cache
             .as_ref()
-            .filter(|_| matches!(workload, Workload::WordCount | Workload::TeraSort))
+            .filter(|_| {
+                matches!(
+                    cell.workload(),
+                    Some(Workload::WordCount | Workload::TeraSort)
+                )
+            })
             .map(|c| {
                 let key = FragmentKey {
-                    plan: fnv64(workload.name()) ^ engine_tag(engine),
+                    plan: fnv64(cell.name()) ^ engine_tag(engine),
                     input: cell.seed(),
                     config: config_fp,
                     faults: 0,
@@ -387,7 +380,7 @@ fn run_pass(
                 (Arc::clone(c), key)
             });
         let body = job_body(cell, engine, config, job_cache, &shared, Instant::now());
-        let name = format!("{label}/{}/{engine:?}/{i}", workload.name());
+        let name = format!("{label}/{}/{engine:?}/{i}", cell.name());
         let tenant = if multi_tenant {
             i as u32 % scale.tenants
         } else {
@@ -419,13 +412,13 @@ fn run_pass(
     });
     let health = service.shutdown();
 
-    let mut latencies = shared
+    let latencies = shared
         .latencies_ms
         .lock()
         .map(|l| l.clone())
         .unwrap_or_default();
-    let p50 = percentile(&mut latencies, 0.50);
-    let p99 = percentile(&mut latencies, 0.99);
+    let p50 = percentile(&latencies, 0.50).unwrap_or(0.0);
+    let p99 = percentile(&latencies, 0.99).unwrap_or(0.0);
     let stats = PassStats {
         label: label.to_string(),
         jobs: scale.jobs,

@@ -27,12 +27,15 @@ use flowmark_engine::streaming::{
 };
 use flowmark_engine::{CancelToken, EngineMetrics, FaultConfig, FaultPlan, Setup};
 use flowmark_serve::{
-    BreakerState, HealthSnapshot, JobRequest, JobService, LivenessSlo, Rejected, Resolution,
+    BreakerState, HealthSnapshot, JobHandle, JobRequest, JobService, LivenessSlo, Rejected,
+    Resolution,
 };
 use flowmark_workloads::cell::{Cell, Sizes};
 use flowmark_workloads::stream::{canonical, nexmark_source, q6_operator, q6_oracle, route_nexmark};
 use flowmark_workloads::Workload;
 use serde::{Deserialize, Serialize};
+
+use crate::drill::{cell_seed, ledger_violations, on_batch_path};
 
 /// splitmix64, the workspace-standard deterministic bit mixer.
 fn splitmix(mut x: u64) -> u64 {
@@ -190,25 +193,7 @@ impl SoakReport {
     /// The exit invariants, as human-readable violations; empty means the
     /// soak passed.
     pub fn violations(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        if !self.health.drained() {
-            v.push(format!(
-                "ledger does not balance: {} admitted vs {} resolved ({} queued, {} in flight)",
-                self.health.jobs_admitted,
-                self.health.jobs_completed
-                    + self.health.jobs_failed
-                    + self.health.jobs_timed_out
-                    + self.health.jobs_cancelled,
-                self.health.queue_depth,
-                self.health.in_flight,
-            ));
-        }
-        if self.health.budget_in_use_bytes != 0 {
-            v.push(format!(
-                "memory budget not drained: {} B still reserved",
-                self.health.budget_in_use_bytes
-            ));
-        }
+        let mut v = ledger_violations(&self.health);
         if self.oracle_failures != 0 {
             v.push(format!(
                 "{} completion(s) diverged from the oracle",
@@ -247,13 +232,20 @@ impl SoakReport {
     pub fn passed(&self) -> bool {
         self.violations().is_empty()
     }
+
+    fn tally(&mut self, engine: Framework) -> &mut EngineTally {
+        match engine {
+            Framework::Spark => &mut self.spark,
+            Framework::Flink => &mut self.flink,
+        }
+    }
 }
 
 /// Runs `cell` on one engine built from `setup`. `Err` means a divergence
 /// (the message says "diverged") or an engine-fatal error (the message
 /// carries its text).
 fn run_cell(cell: &Cell, engine: Framework, setup: &Setup) -> Result<(), String> {
-    let what = format!("{}/{engine:?}", cell.workload().name());
+    let what = format!("{}/{engine:?}", cell.name());
     cell.run(engine, setup).verdict.into_result(&what)
 }
 
@@ -278,10 +270,7 @@ fn trivial(name: &str, engine: Framework) -> JobRequest {
 
 /// Tracks a resolution into the report's ledgers.
 fn settle(report: &mut SoakReport, engine: Framework, resolution: &Resolution) {
-    let tally = match engine {
-        Framework::Spark => &mut report.spark,
-        Framework::Flink => &mut report.flink,
-    };
+    let tally = report.tally(engine);
     match resolution {
         Resolution::Completed { attempts } => {
             tally.completed += 1;
@@ -307,17 +296,63 @@ fn settle(report: &mut SoakReport, engine: Framework, resolution: &Resolution) {
 }
 
 fn shed(report: &mut SoakReport, engine: Framework, rejected: &Rejected) {
-    let tally = match engine {
-        Framework::Spark => &mut report.spark,
-        Framework::Flink => &mut report.flink,
-    };
-    tally.shed += 1;
+    report.tally(engine).shed += 1;
     match rejected {
         Rejected::QueueFull { .. } => report.shed_queue_full += 1,
         Rejected::OverBudget { .. } => report.shed_over_budget += 1,
         Rejected::BreakerOpen { .. } => report.shed_breaker_open += 1,
         Rejected::ShuttingDown { .. } | Rejected::UnknownTenant { .. } => {}
     }
+}
+
+/// Submits `job`, counting it as submitted or shed.
+fn submit(report: &mut SoakReport, service: &JobService, job: JobRequest) -> Option<JobHandle> {
+    let engine = job.engine;
+    match service.submit(job) {
+        Ok(handle) => {
+            report.tally(engine).submitted += 1;
+            Some(handle)
+        }
+        Err(rejected) => {
+            shed(report, engine, &rejected);
+            None
+        }
+    }
+}
+
+/// Sheds against `engine`'s open breaker until its seeded cooldown admits
+/// a healthy probe, which must complete and close it.
+fn probe_until_closed(
+    report: &mut SoakReport,
+    service: &JobService,
+    name: &str,
+    engine: Framework,
+) {
+    for _ in 0..8 {
+        if let Some(h) = submit(report, service, trivial(name, engine)) {
+            let r = h.wait();
+            assert_eq!(r, Resolution::Completed { attempts: 1 });
+            settle(report, engine, &r);
+            return;
+        }
+    }
+    panic!("{name}: breaker cooldown must end");
+}
+
+/// The mix phase's slots at `seed`: (slot, workload, engine, corrupt).
+/// Each slot draws its workload from [`Workload::ALL`], engines alternate,
+/// and every other pair of batch-path slots upgrades to the corruption
+/// preset. Slots with `slot % 6 == 3` run a streaming tenant instead.
+pub fn mix_slots(seed: u64, jobs: usize) -> Vec<(usize, Workload, Framework, bool)> {
+    (0..jobs)
+        .map(|i| {
+            let workload =
+                Workload::ALL[(splitmix(seed ^ i as u64) % Workload::ALL.len() as u64) as usize];
+            let engine = Framework::BOTH[i % 2];
+            let corrupt = on_batch_path(workload.name()) && (i / 2) % 2 == 0;
+            (i, workload, engine, corrupt)
+        })
+        .collect()
 }
 
 /// Spin-waits (cancellation-free, bounded) until `pred` holds on the
@@ -376,23 +411,6 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
         oracle_failures: 0,
         workers_joined: false,
         health: service.health(),
-    };
-
-    let submit = |report: &mut SoakReport, service: &JobService, job: JobRequest| {
-        let engine = job.engine;
-        match service.submit(job) {
-            Ok(handle) => {
-                match engine {
-                    Framework::Spark => report.spark.submitted += 1,
-                    Framework::Flink => report.flink.submitted += 1,
-                }
-                Some(handle)
-            }
-            Err(rejected) => {
-                shed(report, engine, &rejected);
-                None
-            }
-        }
     };
 
     // --- Phase 1: overload → queue-full shed ------------------------------
@@ -493,22 +511,7 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
     }
     report.breaker_opened = service.health().spark_breaker == BreakerState::Open;
     assert!(report.breaker_opened, "two consecutive failures must trip");
-    // Shed against the open breaker until the seeded cooldown admits a
-    // healthy probe, which closes it.
-    let mut probes = 0u32;
-    loop {
-        probes += 1;
-        assert!(probes <= 8, "breaker cooldown must end");
-        match submit(&mut report, &service, trivial("probe", Framework::Spark)) {
-            Some(h) => {
-                let r = h.wait();
-                assert_eq!(r, Resolution::Completed { attempts: 1 });
-                settle(&mut report, Framework::Spark, &r);
-                break;
-            }
-            None => continue,
-        }
-    }
+    probe_until_closed(&mut report, &service, "probe", Framework::Spark);
     assert_eq!(service.health().spark_breaker, BreakerState::Closed);
 
     // --- Phase 5b: streaming tenant → liveness SLO → lag breaker ------------
@@ -576,20 +579,7 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
         report.stream_lag_breaker_opened,
         "two SLO violations must trip the lag breaker"
     );
-    let mut probes = 0u32;
-    loop {
-        probes += 1;
-        assert!(probes <= 8, "lag-breaker cooldown must end");
-        match submit(&mut report, &service, trivial("stream-probe", Framework::Flink)) {
-            Some(h) => {
-                let r = h.wait();
-                assert_eq!(r, Resolution::Completed { attempts: 1 });
-                settle(&mut report, Framework::Flink, &r);
-                break;
-            }
-            None => continue,
-        }
-    }
+    probe_until_closed(&mut report, &service, "stream-probe", Framework::Flink);
     assert_eq!(service.health().flink_breaker, BreakerState::Closed);
 
     // --- Phase 6: seeded chaos mix -----------------------------------------
@@ -601,18 +591,8 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
     // checkpoint rejection — under the same admission/retry supervision.
     // Submitted sequentially so the phase never contends with its own
     // queue bound.
-    for i in 0..scale.mix_jobs {
-        let workload = (splitmix(config.seed ^ (i as u64)) % 6) as usize;
-        let engine = if i % 2 == 0 {
-            Framework::Spark
-        } else {
-            Framework::Flink
-        };
-        let corrupt = workload < 3 && (i / 2) % 2 == 0;
-        let plan_seed = config
-            .seed
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(i as u64);
+    for (i, workload, engine, corrupt) in mix_slots(config.seed, scale.mix_jobs) {
+        let plan_seed = cell_seed(config.seed, i as u64);
         // Every sixth mix slot is a bounded streaming tenant: a q6
         // windowed aggregate under chaos injection, oracle-verified,
         // billed to the streaming lane and supervised by a (healthy)
@@ -667,9 +647,13 @@ pub fn run_soak(config: SoakConfig, scale: SoakScale) -> SoakReport {
             }
             continue;
         }
-        let cell = Arc::clone(&cells[workload]);
+        let cell = cells
+            .iter()
+            .find(|c| c.workload() == Some(workload))
+            .map(Arc::clone)
+            .expect("a cell is generated for every workload");
         let job = JobRequest::new(
-            format!("mix-{i}-{}", cell.workload().name()),
+            format!("mix-{i}-{}", cell.name()),
             engine,
             EngineConfig::with_parallelism(parts),
             Arc::new(move |attempt, cancel: &CancelToken| {

@@ -13,51 +13,15 @@
 //! question — micro-batch latency floors at ~half the batch interval on
 //! the logical clock, continuous stays at processing cost.
 
-use flowmark_datagen::nexmark::{generate, NexmarkConfig, NexmarkEvent};
-use flowmark_engine::faults::{install_quiet_hook, CancelToken, FaultConfig, FaultPlan};
-use flowmark_engine::metrics::{EngineMetrics, RecoverySnapshot};
-use flowmark_engine::streaming::runtime::{
-    run_continuous_checkpointed, run_micro_batch_checkpointed, StreamJobConfig, StreamRunResult,
-};
-use flowmark_engine::streaming::source::shuffle_bounded;
-use flowmark_engine::streaming::window::StreamOperator;
-use flowmark_engine::streaming::{run_continuous, SourceConfig, StreamSource};
-use flowmark_workloads::stream::{
-    canonical, nexmark_source, q3_oracle, q6_operator, q6_oracle, route_nexmark, Q3Join,
-};
+use flowmark_core::config::Framework;
+use flowmark_engine::streaming::model::micro_batch_latency_ticks;
+use flowmark_engine::streaming::run_continuous;
+use flowmark_engine::{FaultConfig, FaultPlan, Setup};
+use flowmark_workloads::cell::Cell;
+use flowmark_workloads::stream::Query;
 use serde::{Deserialize, Serialize};
 
-/// Input sizes for one streaming drill.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamScale {
-    /// Nexmark events per query dataset.
-    pub events: usize,
-    /// Runtime task parallelism.
-    pub parallelism: usize,
-    /// Checkpoint interval (records between barriers) for armed cells.
-    pub checkpoint_interval: u64,
-}
-
-impl StreamScale {
-    /// CLI scale.
-    pub fn full() -> Self {
-        Self {
-            events: 10_000,
-            parallelism: 4,
-            checkpoint_interval: 8,
-        }
-    }
-
-    /// Test scale: small streams, still enough barriers for the
-    /// guaranteed kill, corruption and rotten checkpoint to land.
-    pub fn smoke() -> Self {
-        Self {
-            events: 2_000,
-            parallelism: 3,
-            checkpoint_interval: 4,
-        }
-    }
-}
+use crate::drill::{self, cell_seed, Entry, Report, Row, Scale};
 
 /// One point of the §VIII latency grid: the micro-batch latency
 /// distribution at one batch interval, on the logical clock.
@@ -71,373 +35,193 @@ pub struct LatencyPoint {
     pub p99_ticks: u64,
 }
 
-/// One drilled cell: a query on one runtime, clean or armed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamCell {
-    /// Query id: `q3` (filter-join) or `q6` (windowed aggregate).
-    pub query: String,
-    /// Runtime id: `micro-batch` or `continuous`.
-    pub runtime: String,
-    /// True when the cell ran under the corruption fault plan.
-    pub armed: bool,
-    /// True when the committed output matched the sequential oracle.
-    pub verified: bool,
-    /// Results committed through the transactional sink.
-    pub committed: u64,
-    /// Highest committed epoch.
-    pub epochs_committed: u64,
-    /// Window results fired by watermark passage.
-    pub windows_emitted: u64,
-    /// Events dropped as late (behind the watermark on arrival).
-    pub late_events_dropped: u64,
-    /// Out-of-order (but in-allowance) arrivals observed.
-    pub watermark_lag_events: u64,
-    /// Event slabs folded batch-at-a-time by the transport (0 means the
-    /// cell ran the per-event path); `default` keeps pre-existing JSON
-    /// artifacts parseable.
-    #[serde(default)]
-    pub stream_batches: u64,
-    /// The engine's recovery counters after the run.
-    pub recovery: RecoverySnapshot,
-}
-
-/// A full streaming drill: the latency grid plus every cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StreamReport {
-    /// Root seed; every cell derives its own plan seed from it.
-    pub seed: u64,
-    /// Events per query dataset.
-    pub events: usize,
-    /// Runtime task parallelism.
-    pub parallelism: usize,
-    /// §VIII latency grid (empty for `chaos --streaming`, which drills
-    /// recovery only).
-    pub latency: Vec<LatencyPoint>,
+/// The §VIII latency grid.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Latency {
+    /// Micro-batch points, aggressive to lazy interval.
+    pub points: Vec<LatencyPoint>,
     /// Continuous-model mean latency in ticks, the grid's floor.
     pub continuous_mean_ticks: f64,
-    /// All drilled cells, query-major, micro-batch before continuous,
-    /// clean before armed.
-    pub cells: Vec<StreamCell>,
 }
 
-impl StreamReport {
-    /// Checks the drill's hard invariants, returning one human-readable
-    /// line per violation (empty means the drill passed).
-    ///
-    /// Every cell must match the oracle. Every *armed* cell must prove
-    /// the whole detect-and-recover chain ran: the guaranteed kill was
-    /// injected, a region restarted, the guaranteed corruption was
-    /// detected, and a rotten checkpoint snapshot was rejected. q6 cells
-    /// must actually have fired windows, and at least one armed cell must
-    /// have restored operator state from a digest-verified snapshot.
-    pub fn violations(&self) -> Vec<String> {
-        let mut bad = Vec::new();
-        for c in &self.cells {
-            let id = format!(
-                "{}-{}{}",
-                c.query,
-                c.runtime,
-                if c.armed { "-armed" } else { "" }
-            );
-            if !c.verified {
-                bad.push(format!("{id}: committed output diverged from the oracle"));
-            }
-            if c.committed == 0 {
-                bad.push(format!("{id}: nothing was committed"));
-            }
-            if c.query == "q6" && c.windows_emitted == 0 {
-                bad.push(format!("{id}: no windows fired"));
-            }
-            if c.armed {
-                let r = &c.recovery;
-                if r.injected_failures == 0 {
-                    bad.push(format!("{id}: armed kill was never injected"));
-                }
-                if r.region_restarts == 0 {
-                    bad.push(format!("{id}: no region restart recovered the kill"));
-                }
-                if r.corruptions_detected == 0 {
-                    bad.push(format!("{id}: armed corruption was never detected"));
-                }
-                if r.checkpoints_rejected == 0 {
-                    bad.push(format!("{id}: no rotten checkpoint snapshot was rejected"));
-                }
-            }
-        }
-        let restored: u64 = self
-            .cells
-            .iter()
-            .filter(|c| c.armed)
-            .map(|c| c.recovery.stream_checkpoints_restored)
-            .sum();
-        if self.cells.iter().any(|c| c.armed) && restored == 0 {
-            bad.push("no armed cell restored state from a verified checkpoint".into());
-        }
-        bad
-    }
-}
-
-/// Derives one cell's plan seed from the root seed, mirroring the batch
-/// chaos drill, so every cell's injections are independent and the whole
-/// drill replays bit-for-bit.
-fn cell_seed(seed: u64, cell: u64) -> u64 {
-    seed.wrapping_mul(0x9E37_79B9).wrapping_add(cell)
-}
-
-/// The armed plan: the corruption preset (guaranteed kill + straggler +
-/// in-flight corruption + rotten checkpoint) with the drill's checkpoint
-/// interval.
-fn armed_plan(seed: u64, interval: u64) -> FaultPlan {
-    let mut cfg = FaultConfig::corruption(seed);
-    cfg.checkpoint_interval_records = interval;
-    FaultPlan::new(cfg)
-}
-
-/// The clean plan still checkpoints (the sink commits per epoch) but
-/// injects nothing.
-fn clean_plan(interval: u64) -> FaultPlan {
-    FaultPlan::new(FaultConfig {
-        checkpoint_interval_records: interval,
-        ..FaultConfig::default()
-    })
-}
-
-/// Builds one query's dataset: a generated Nexmark stream with bounded
-/// disorder (in-allowance, so nothing is dropped — the runtimes see lag,
-/// the oracle sees the same survivors).
-fn dataset(seed: u64, events: usize) -> StreamSource<NexmarkEvent> {
-    let mut src = nexmark_source(
-        generate(seed, events, &NexmarkConfig::default()),
-        SourceConfig {
-            allowance: 32,
-            watermark_every: 16,
-            stall_watermark_after: None,
-            hold_at_end: false,
-        },
-    );
-    src.events = shuffle_bounded(src.events, seed ^ 0xD150_4DE4, 6);
-    src
-}
-
-fn run_cell<Op, F>(
-    query: &str,
-    runtime: &str,
-    micro: bool,
-    armed: bool,
-    src: &StreamSource<NexmarkEvent>,
-    make_op: F,
-    cfg: &StreamJobConfig,
-    plan: &FaultPlan,
-    verify: impl Fn(&StreamRunResult<Op::Out>) -> bool,
-) -> StreamCell
-where
-    Op: StreamOperator<In = NexmarkEvent>,
-    F: Fn(usize) -> Op + Sync,
-{
-    let metrics = EngineMetrics::new();
-    let cancel = CancelToken::new();
-    let out = if micro {
-        run_micro_batch_checkpointed(src, make_op, route_nexmark, cfg, plan, &metrics, &cancel)
+/// One round's q3 and q6 cells. Clean and armed rounds draw different
+/// datasets: `seed ^ 0x51_33` / `0x51_66` clean, `0xA3_33` / `0xA3_66`
+/// armed.
+pub fn cells(seed: u64, events: usize, armed: bool) -> [Cell; 2] {
+    let (q3, q6) = if armed {
+        (0xA3_33, 0xA3_66)
     } else {
-        run_continuous_checkpointed(src, make_op, route_nexmark, cfg, plan, &metrics, &cancel)
+        (0x51_33, 0x51_66)
     };
-    StreamCell {
-        query: query.into(),
-        runtime: runtime.into(),
-        armed,
-        verified: verify(&out),
-        committed: out.committed.len() as u64,
-        epochs_committed: out.epochs_committed,
-        windows_emitted: metrics.windows_emitted(),
-        late_events_dropped: metrics.late_events_dropped(),
-        watermark_lag_events: metrics.watermark_lag_events(),
-        stream_batches: metrics.stream_batches(),
-        recovery: metrics.recovery(),
-    }
+    [
+        Cell::nexmark(Query::Q3, events, seed ^ q3),
+        Cell::nexmark(Query::Q6, events, seed ^ q6),
+    ]
 }
 
-/// Runs the four query × runtime cells once under `plan`, appending to
-/// `cells`.
-fn drill_round(
-    cells: &mut Vec<StreamCell>,
-    armed: bool,
-    seed: u64,
-    scale: StreamScale,
-    q3_src: &StreamSource<NexmarkEvent>,
-    q6_src: &StreamSource<NexmarkEvent>,
-) {
-    let cfg = StreamJobConfig {
-        parallelism: scale.parallelism,
-        ..StreamJobConfig::default()
-    };
-    let q3_expect = q3_oracle(q3_src);
-    let q6_expect = q6_oracle(q6_src);
-    let plan = |cell: u64| {
-        if armed {
-            armed_plan(cell_seed(seed, cell), scale.checkpoint_interval)
-        } else {
-            clean_plan(scale.checkpoint_interval)
-        }
-    };
-    for (cell, micro) in [(0u64, true), (1, false)] {
-        cells.push(run_cell(
-            "q3",
-            if micro { "micro-batch" } else { "continuous" },
-            micro,
-            armed,
-            q3_src,
-            |_| Q3Join::new(),
-            &cfg,
-            &plan(cell),
-            |out| canonical(&out.committed) == q3_expect,
-        ));
-    }
-    for (cell, micro) in [(2u64, true), (3, false)] {
-        cells.push(run_cell(
-            "q6",
-            if micro { "micro-batch" } else { "continuous" },
-            micro,
-            armed,
-            q6_src,
-            |_| q6_operator(),
-            &cfg,
-            &plan(cell),
-            |out| canonical(&out.committed) == q6_expect,
-        ));
-    }
+/// One round's grid: each cell on micro-batch, then continuous, as
+/// entries 0–3. Armed entries run the corruption preset (guaranteed kill,
+/// straggler, in-flight corruption and rotten checkpoint); clean ones
+/// inject nothing but still checkpoint, since the sink commits per epoch.
+fn grid<'a>(cells: &'a [Cell], seed: u64, scale: &Scale, armed: bool) -> Vec<Entry<'a>> {
+    let pairs = cells
+        .iter()
+        .flat_map(|c| Framework::BOTH.map(|engine| (c, engine)));
+    (0u64..)
+        .zip(pairs)
+        .map(|(i, (cell, engine))| {
+            let mut faults = if armed {
+                FaultConfig::corruption(cell_seed(seed, i))
+            } else {
+                FaultConfig::default()
+            };
+            faults.checkpoint_interval_records = scale.checkpoint_interval;
+            let setup = Setup {
+                faults: FaultPlan::new(faults),
+                ..Setup::new(scale.stream_parallelism)
+            };
+            (cell, engine, if armed { "armed" } else { "clean" }, setup)
+        })
+        .collect()
 }
 
-/// Runs the full drill: the §VIII latency grid, then every query ×
-/// runtime cell clean and armed.
-pub fn run_stream(seed: u64, scale: StreamScale) -> StreamReport {
-    install_quiet_hook();
-    let mut report = run_stream_chaos(seed, scale);
-
-    // Clean cells, prepended so the report reads clean-then-armed.
-    let q3_src = dataset(seed ^ 0x51_33, scale.events);
-    let q6_src = dataset(seed ^ 0x51_66, scale.events);
-    let mut clean = Vec::new();
-    drill_round(&mut clean, false, seed, scale, &q3_src, &q6_src);
-    clean.append(&mut report.cells);
-    report.cells = clean;
-
-    // Latency grid on the logical clock: one event every 2 ticks,
-    // micro-batch intervals from aggressive to lazy.
-    let n = scale.events as u64;
-    for batch_ticks in [32u64, 128, 512] {
-        let mut lat =
-            flowmark_engine::streaming::model::micro_batch_latency_ticks(n, 2, batch_ticks);
-        lat.sort_unstable();
-        report.latency.push(LatencyPoint {
-            batch_ticks,
-            p50_ticks: lat[lat.len() / 2],
-            p99_ticks: lat[(lat.len() * 99) / 100],
-        });
-    }
-    let events: Vec<u64> = (0..n).collect();
-    report.continuous_mean_ticks = run_continuous(events, 2, |x| *x).latency_ticks.mean;
-    report
-}
-
-/// Runs the armed cells only — the `repro chaos --streaming` drill.
-pub fn run_stream_chaos(seed: u64, scale: StreamScale) -> StreamReport {
-    install_quiet_hook();
-    let q3_src = dataset(seed ^ 0xA3_33, scale.events);
-    let q6_src = dataset(seed ^ 0xA3_66, scale.events);
-    let mut cells = Vec::new();
-    drill_round(&mut cells, true, seed, scale, &q3_src, &q6_src);
-    StreamReport {
+/// Runs the drill's rounds — `repro stream` (`clean`): the §VIII latency
+/// grid, the clean round, then the armed round; `repro chaos --streaming`:
+/// the armed round only. Returns the report and its violations.
+pub fn run_stream(seed: u64, scale: &Scale, clean: bool) -> (Report, Vec<String>) {
+    let rounds: &[bool] = if clean { &[false, true] } else { &[true] };
+    let cells: Vec<Cell> = rounds
+        .iter()
+        .flat_map(|&armed| cells(seed, scale.events, armed))
+        .collect();
+    let entries: Vec<Entry<'_>> = rounds
+        .iter()
+        .zip(cells.chunks(2))
+        .flat_map(|(&armed, pair)| grid(pair, seed, scale, armed))
+        .collect();
+    let report = Report {
         seed,
-        events: scale.events,
-        parallelism: scale.parallelism,
-        latency: Vec::new(),
-        continuous_mean_ticks: 1.0,
-        cells,
+        rows: drill::run(&entries),
+        latency: clean.then(|| latency(scale.events as u64)),
+    };
+    let bad = violations(&cells, &report.rows);
+    (report, bad)
+}
+
+/// The latency grid on the logical clock: one event every 2 ticks,
+/// micro-batch intervals from aggressive to lazy.
+fn latency(n: u64) -> Latency {
+    let points = [32u64, 128, 512]
+        .into_iter()
+        .map(|batch_ticks| {
+            let mut lat = micro_batch_latency_ticks(n, 2, batch_ticks);
+            lat.sort_unstable();
+            LatencyPoint {
+                batch_ticks,
+                p50_ticks: lat[lat.len() / 2],
+                p99_ticks: lat[(lat.len() * 99) / 100],
+            }
+        })
+        .collect();
+    let events: Vec<u64> = (0..n).collect();
+    Latency {
+        points,
+        continuous_mean_ticks: run_continuous(events, 2, |x| *x).latency_ticks.mean,
     }
 }
 
-/// Renders the drill as a human-readable table.
-pub fn render(report: &StreamReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+/// Checks the drill's hard invariants, returning one human-readable line
+/// per violation (empty means the drill passed).
+///
+/// Every cell's oracle must expect results, so that a verified row proves
+/// something was committed. Every row must match the oracle. Every
+/// *armed* row must prove the whole detect-and-recover chain ran: the
+/// guaranteed kill was injected, a region restarted, the guaranteed
+/// corruption was detected, and a rotten checkpoint snapshot was
+/// rejected. q6 rows must actually have fired windows, and at least one
+/// armed row must have restored operator state from a digest-verified
+/// snapshot.
+pub fn violations(cells: &[Cell], rows: &[Row]) -> Vec<String> {
+    let mut bad: Vec<String> = cells
+        .iter()
+        .filter(|c| c.answer_len() == 0)
+        .map(|c| format!("{}: the oracle expects no results to commit", c.name()))
+        .collect();
+    for row in rows {
+        let (r, id) = (&row.metrics.recovery, row.id());
+        if !row.verified {
+            bad.push(format!("{id}: committed output diverged from the oracle"));
+        }
+        if row.cell == "nexmark-q6" && row.metrics.windows_emitted == 0 {
+            bad.push(format!("{id}: no windows fired"));
+        }
+        if row.plan == "armed" {
+            if r.injected_failures == 0 {
+                bad.push(format!("{id}: armed kill was never injected"));
+            }
+            if r.region_restarts == 0 {
+                bad.push(format!("{id}: no region restart recovered the kill"));
+            }
+            if r.corruptions_detected == 0 {
+                bad.push(format!("{id}: armed corruption was never detected"));
+            }
+            if r.checkpoints_rejected == 0 {
+                bad.push(format!("{id}: no rotten checkpoint snapshot was rejected"));
+            }
+        }
+    }
+    let mut armed = rows.iter().filter(|r| r.plan == "armed").peekable();
+    if armed.peek().is_some() && armed.all(|r| r.metrics.recovery.stream_checkpoints_restored == 0)
+    {
+        bad.push("no armed cell restored state from a verified checkpoint".into());
+    }
+    bad
+}
+
+/// Renders the drill: the latency grid, then the row table with each
+/// engine's totals.
+pub fn render(scale: &Scale, report: &Report) -> String {
+    let mut out = format!(
         "streaming drill — seed {}, {} events, parallelism {}\n",
-        report.seed, report.events, report.parallelism
-    ));
-    if !report.latency.is_empty() {
+        report.seed, scale.events, scale.stream_parallelism
+    );
+    if let Some(latency) = &report.latency {
         out.push_str(&format!(
             "latency (logical ticks): continuous mean {:.1}\n",
-            report.continuous_mean_ticks
+            latency.continuous_mean_ticks
         ));
-        for p in &report.latency {
+        for p in &latency.points {
             out.push_str(&format!(
                 "  micro-batch {:>4}-tick interval: p50 {:>4}, p99 {:>4}\n",
                 p.batch_ticks, p.p50_ticks, p.p99_ticks
             ));
         }
     }
-    out.push_str(&format!(
-        "{:<4} {:<11} {:>5} {:>9} {:>7} {:>8} {:>5} {:>6} {:>8} {:>7} {:>8} {:>8} {:>8}\n",
-        "qry", "runtime", "armed", "committed", "epochs", "windows", "late", "lagged",
-        "kills", "restart", "corrupt", "ckpt-rej", "verified"
-    ));
-    for c in &report.cells {
-        let r = &c.recovery;
-        out.push_str(&format!(
-            "{:<4} {:<11} {:>5} {:>9} {:>7} {:>8} {:>5} {:>6} {:>8} {:>7} {:>8} {:>8} {:>8}\n",
-            c.query,
-            c.runtime,
-            c.armed,
-            c.committed,
-            c.epochs_committed,
-            c.windows_emitted,
-            c.late_events_dropped,
-            c.watermark_lag_events,
-            r.injected_failures,
-            r.region_restarts,
-            r.corruptions_detected,
-            r.checkpoints_rejected,
-            c.verified,
-        ));
-    }
-    let armed: Vec<&StreamCell> = report.cells.iter().filter(|c| c.armed).collect();
-    if !armed.is_empty() {
-        let sum = |f: fn(&RecoverySnapshot) -> u64| -> u64 {
-            armed.iter().map(|c| f(&c.recovery)).sum()
-        };
-        out.push_str(&format!(
-            "armed cells survived {} kill(s) via {} region restart(s); \
-             {} corruption(s) detected, {} rotten checkpoint(s) rejected, \
-             {} snapshot(s) restored verified\n",
-            sum(|r| r.injected_failures),
-            sum(|r| r.region_restarts),
-            sum(|r| r.corruptions_detected),
-            sum(|r| r.checkpoints_rejected),
-            sum(|r| r.stream_checkpoints_restored),
-        ));
-    }
-    out
+    out + &drill::table(&report.rows)
 }
 
-// The drill itself is exercised (at smoke scale, every cell asserted) by
+// The drill itself is exercised (at smoke scale, every row asserted) by
 // the tier-1 integration test `tests/stream_smoke.rs`.
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowmark_engine::{MetricsSnapshot, RecoverySnapshot};
 
-    fn mock_cell(query: &str, armed: bool, recovery: RecoverySnapshot) -> StreamCell {
-        StreamCell {
-            query: query.into(),
-            runtime: "continuous".into(),
-            armed,
+    fn mock_row(cell: &str, armed: bool, recovery: RecoverySnapshot) -> Row {
+        Row {
+            cell: cell.into(),
+            engine: "flink".into(),
+            plan: if armed { "armed" } else { "clean" }.into(),
             verified: true,
-            committed: 10,
-            epochs_committed: 5,
-            windows_emitted: if query == "q6" { 8 } else { 0 },
-            late_events_dropped: 0,
-            watermark_lag_events: 3,
-            stream_batches: 4,
-            recovery,
+            wall_s: 0.01,
+            metrics: MetricsSnapshot {
+                windows_emitted: if cell == "nexmark-q6" { 8 } else { 0 },
+                watermark_lag_events: 3,
+                stream_batches: 4,
+                recovery,
+                ..Default::default()
+            },
         }
     }
 
@@ -451,59 +235,66 @@ mod tests {
             stream_checkpoints_restored: 1,
             ..Default::default()
         };
-        let report = StreamReport {
-            seed: 7,
-            events: 2_000,
-            parallelism: 3,
-            latency: Vec::new(),
-            continuous_mean_ticks: 1.0,
-            cells: vec![
-                mock_cell("q3", false, RecoverySnapshot::default()),
-                mock_cell("q6", true, proven),
-            ],
-        };
-        assert!(report.violations().is_empty(), "{:?}", report.violations());
+        let cells = cells(1, 2_000, false);
+        let rows = vec![
+            mock_row("nexmark-q3", false, RecoverySnapshot::default()),
+            mock_row("nexmark-q6", true, proven),
+        ];
+        assert!(
+            violations(&cells, &rows).is_empty(),
+            "{:?}",
+            violations(&cells, &rows)
+        );
 
-        // An armed cell that never rejected a rotten snapshot fails.
-        let mut bad = report.clone();
-        bad.cells[1].recovery.checkpoints_rejected = 0;
-        assert!(bad
-            .violations()
+        // An armed row that never rejected a rotten snapshot fails.
+        let mut bad = rows.clone();
+        bad[1].metrics.recovery.checkpoints_rejected = 0;
+        assert!(violations(&cells, &bad)
             .iter()
             .any(|v| v.contains("rotten checkpoint")));
 
-        // A q6 cell with no fired windows fails even clean.
-        let mut idle = report.clone();
-        idle.cells[1].windows_emitted = 0;
-        assert!(idle.violations().iter().any(|v| v.contains("no windows")));
+        // A q6 row with no fired windows fails even clean.
+        let mut idle = rows.clone();
+        idle[1].metrics.windows_emitted = 0;
+        assert!(violations(&cells, &idle)
+            .iter()
+            .any(|v| v.contains("no windows")));
 
-        // Restores are an aggregate expectation across armed cells.
-        let mut unrestored = report;
-        unrestored.cells[1].recovery.stream_checkpoints_restored = 0;
-        assert!(unrestored
-            .violations()
+        // Restores are an aggregate expectation across armed rows.
+        let mut unrestored = rows.clone();
+        unrestored[1].metrics.recovery.stream_checkpoints_restored = 0;
+        assert!(violations(&cells, &unrestored)
             .iter()
             .any(|v| v.contains("restored")));
+
+        // A cell whose oracle expects nothing cannot prove a commit.
+        let empty = [cells[0].prefix(0)];
+        assert!(violations(&empty, &rows)
+            .iter()
+            .any(|v| v.contains("no results to commit")));
     }
 
     #[test]
     fn report_round_trips_through_json() {
-        let report = StreamReport {
+        let report = Report {
             seed: 7,
-            events: 2_000,
-            parallelism: 3,
-            latency: vec![LatencyPoint {
-                batch_ticks: 128,
-                p50_ticks: 64,
-                p99_ticks: 127,
-            }],
-            continuous_mean_ticks: 1.0,
-            cells: vec![mock_cell("q6", true, RecoverySnapshot::default())],
+            rows: vec![mock_row("nexmark-q6", true, RecoverySnapshot::default())],
+            latency: Some(Latency {
+                points: vec![LatencyPoint {
+                    batch_ticks: 128,
+                    p50_ticks: 64,
+                    p99_ticks: 127,
+                }],
+                continuous_mean_ticks: 1.0,
+            }),
         };
         let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: StreamReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.latency[0].p99_ticks, 127);
-        assert!(render(&back).contains("q6"));
+        let back: Report = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.rows.len(), 1);
+        assert_eq!(
+            back.latency.as_ref().map(|l| l.points[0].p99_ticks),
+            Some(127)
+        );
+        assert!(render(&Scale::small(), &back).contains("nexmark-q6"));
     }
 }

@@ -8,21 +8,35 @@
 //! chaos drill arms a fault plan, the soak passes a job's cancel token, the
 //! mix attaches a fragment-cache key and the tuner passes its candidate
 //! config.
+//!
+//! Besides the six paper workloads, [`Cell::nexmark`] builds a Nexmark q3
+//! or q6 cell: the staged engine runs it on the checkpointed micro-batch
+//! runtime, the pipelined engine on the checkpointed continuous runtime.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use flowmark_columnar::checksum::Xxh64;
 use flowmark_core::config::Framework;
 use flowmark_core::spans::PlanTrace;
 use flowmark_datagen::graph::{Edge, RmatGen, RmatParams};
+use flowmark_datagen::nexmark::{self, NexmarkConfig, NexmarkEvent};
 use flowmark_datagen::points::{Point, PointsConfig, PointsGen};
 use flowmark_datagen::terasort::{Record, TeraGen};
 use flowmark_datagen::text::{TextGen, TextGenConfig};
 use flowmark_engine::flink::FlinkEnv;
 use flowmark_engine::spark::SparkContext;
-use flowmark_engine::{IterationError, MetricsSnapshot, Setup};
+use flowmark_engine::streaming::{
+    run_continuous_checkpointed, run_micro_batch_checkpointed, shuffle_bounded, SourceConfig,
+    StreamJobConfig, StreamOperator, StreamSource, WindowResult,
+};
+use flowmark_engine::{EngineMetrics, IterationError, MetricsSnapshot, Setup};
 
 use crate::connected::{self, CcVariant};
+use crate::stream::{
+    canonical, nexmark_source, q3_oracle, q6_operator, q6_oracle, route_nexmark, Q3Join, Q3Row,
+    Query,
+};
 use crate::{grep, kmeans, pagerank, terasort, wordcount, Workload};
 
 /// Rounds cap for Connected Components (it converges long before).
@@ -54,6 +68,18 @@ pub struct Run {
     pub metrics: MetricsSnapshot,
     /// The context's operator spans.
     pub trace: PlanTrace,
+    /// A Nexmark cell's epoch-tagged commit log; `None` for the six paper
+    /// workloads.
+    pub commits: Option<CommitLog>,
+}
+
+/// A streaming run's committed output in commit order, summarised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitLog {
+    /// Results committed.
+    pub rows: usize,
+    /// xxHash64 (seed 0) over each result's epoch, then its fields.
+    pub digest: u64,
 }
 
 /// What one run of a cell proved.
@@ -99,6 +125,7 @@ enum Input {
     },
     PageRank(Vec<Edge>),
     Connected(Vec<Edge>),
+    Nexmark(Query, StreamSource<NexmarkEvent>),
 }
 
 /// A workload's answer: what an engine returns and what the oracle expects.
@@ -111,6 +138,9 @@ enum Answer {
     Centers(Vec<Point>),
     Ranks(HashMap<u64, f64>),
     Labels(HashMap<u64, u64>),
+    /// Committed results in canonical order, epoch tags stripped.
+    Joined(Vec<Q3Row>),
+    Windows(Vec<WindowResult>),
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -148,6 +178,7 @@ impl Answer {
 pub struct Cell {
     input: Input,
     rounds: u32,
+    seed: u64,
     expect: Answer,
 }
 
@@ -203,10 +234,29 @@ impl Cell {
                 Input::Connected(RmatGen::new(8, RmatParams::default(), seed).edges(sizes.edges))
             }
         };
-        Self::with_input(input, sizes.rounds)
+        Self::with_input(input, sizes.rounds, seed)
     }
 
-    fn with_input(input: Input, rounds: u32) -> Self {
+    /// Nexmark `query` over `events` generated from `seed`, and the
+    /// oracle's answer. Arrivals are shuffled at most 6 positions, inside
+    /// the allowance of 32 ticks, with a watermark every 16 events, so the
+    /// runtimes see disorder and nothing is late.
+    pub fn nexmark(query: Query, events: usize, seed: u64) -> Self {
+        let config = SourceConfig {
+            allowance: 32,
+            watermark_every: 16,
+            stall_watermark_after: None,
+            hold_at_end: false,
+        };
+        let mut source = nexmark_source(
+            nexmark::generate(seed, events, &NexmarkConfig::default()),
+            config,
+        );
+        source.events = shuffle_bounded(source.events, seed ^ 0xD150_4DE4, 6);
+        Self::with_input(Input::Nexmark(query, source), 0, seed)
+    }
+
+    fn with_input(input: Input, rounds: u32, seed: u64) -> Self {
         let expect = match &input {
             Input::WordCount(lines) => Answer::Counts(wordcount::oracle(lines)),
             Input::Grep { lines, needle } => Answer::Count(grep::oracle(lines, needle)),
@@ -216,16 +266,21 @@ impl Cell {
             }
             Input::PageRank(edges) => Answer::Ranks(pagerank::oracle(edges, rounds)),
             Input::Connected(edges) => Answer::Labels(connected::oracle(edges)),
+            Input::Nexmark(query, source) => match query {
+                Query::Q3 => Answer::Joined(q3_oracle(source)),
+                Query::Q6 => Answer::Windows(q6_oracle(source)),
+            },
         };
         Self {
             input,
             rounds,
+            seed,
             expect,
         }
     }
 
-    /// The cell over the first `n` input records (lines, records, points
-    /// or edges), with its own oracle answer. Panics if `n` exceeds
+    /// The cell over the first `n` input records (lines, records, points,
+    /// edges or events), with its own oracle answer. Panics if `n` exceeds
     /// [`Cell::len`].
     pub fn prefix(&self, n: usize) -> Self {
         let input = match &self.input {
@@ -241,34 +296,68 @@ impl Cell {
             },
             Input::PageRank(edges) => Input::PageRank(edges[..n].to_vec()),
             Input::Connected(edges) => Input::Connected(edges[..n].to_vec()),
+            Input::Nexmark(query, source) => {
+                let events = source.events[..n].to_vec();
+                Input::Nexmark(
+                    *query,
+                    StreamSource::with_config(events, source.config.clone()),
+                )
+            }
         };
-        Self::with_input(input, self.rounds)
+        Self::with_input(input, self.rounds, self.seed)
     }
 
-    /// The workload this cell runs.
-    pub fn workload(&self) -> Workload {
-        match self.input {
+    /// The paper workload this cell runs; `None` for a Nexmark cell.
+    pub fn workload(&self) -> Option<Workload> {
+        Some(match self.input {
             Input::WordCount(_) => Workload::WordCount,
             Input::Grep { .. } => Workload::Grep,
             Input::TeraSort(_) => Workload::TeraSort,
             Input::KMeans { .. } => Workload::KMeans,
             Input::PageRank(_) => Workload::PageRank,
             Input::Connected(_) => Workload::ConnectedComponents,
+            Input::Nexmark(..) => return None,
+        })
+    }
+
+    /// Report id: the workload's [`Workload::name`], or `nexmark-q3` /
+    /// `nexmark-q6`.
+    pub fn name(&self) -> &'static str {
+        match &self.input {
+            Input::Nexmark(Query::Q3, _) => "nexmark-q3",
+            Input::Nexmark(Query::Q6, _) => "nexmark-q6",
+            _ => self.workload().map_or("", Workload::name),
         }
     }
 
     /// The dataset seed, which also names the input in fragment-cache keys.
     pub fn seed(&self) -> u64 {
-        seed(self.workload())
+        self.seed
     }
 
-    /// Input records: lines, records, points or edges.
+    /// Input records: lines, records, points, edges or events.
     pub fn len(&self) -> usize {
         match &self.input {
             Input::WordCount(lines) | Input::Grep { lines, .. } => lines.len(),
             Input::TeraSort(records) => records.len(),
             Input::KMeans { points, .. } => points.len(),
             Input::PageRank(edges) | Input::Connected(edges) => edges.len(),
+            Input::Nexmark(_, source) => source.events.len(),
+        }
+    }
+
+    /// Results in the oracle's answer: distinct words, one count, records,
+    /// centers, vertices, or committed stream results.
+    pub fn answer_len(&self) -> usize {
+        match &self.expect {
+            Answer::Counts(counts) => counts.len(),
+            Answer::Count(_) => 1,
+            Answer::Sorted(parts) => parts.iter().map(Vec::len).sum(),
+            Answer::Centers(centers) => centers.len(),
+            Answer::Ranks(ranks) => ranks.len(),
+            Answer::Labels(labels) => labels.len(),
+            Answer::Joined(rows) => rows.len(),
+            Answer::Windows(windows) => windows.len(),
         }
     }
 
@@ -282,6 +371,20 @@ impl Cell {
     /// input copy the engine consumes is made before the clock starts, and
     /// the oracle comparison happens after it stops.
     pub fn run(&self, engine: Framework, setup: &Setup) -> Run {
+        if let Input::Nexmark(query, source) = &self.input {
+            return match query {
+                Query::Q3 => {
+                    self.run_stream(engine, setup, source, Q3Join::new, Answer::Joined, |r| {
+                        vec![r.auction, r.seller, r.state, r.city]
+                    })
+                }
+                Query::Q6 => {
+                    self.run_stream(engine, setup, source, q6_operator, Answer::Windows, |w| {
+                        vec![w.key, w.start, w.end, w.sum, w.count, w.max]
+                    })
+                }
+            };
+        }
         let input = self.input.clone();
         let (out, elapsed, metrics, trace) = match engine {
             Framework::Spark => {
@@ -302,6 +405,7 @@ impl Cell {
             elapsed,
             metrics,
             trace,
+            commits: None,
         }
     }
 
@@ -322,6 +426,7 @@ impl Cell {
             Input::Connected(edges) => {
                 Answer::Labels(connected::run_spark(sc, &edges, CC_MAX_ROUNDS, parts))
             }
+            Input::Nexmark(..) => unreachable!("Nexmark cells run on a stream runtime"),
         }
     }
 
@@ -347,7 +452,60 @@ impl Cell {
                 CcVariant::Delta,
                 None,
             )?),
+            Input::Nexmark(..) => unreachable!("Nexmark cells run on a stream runtime"),
         })
+    }
+
+    /// Runs a Nexmark query at the setup's parallelism under its fault
+    /// plan and cancel token — micro-batch for the staged engine,
+    /// continuous for the pipelined one — then judges the committed output
+    /// and digests the epoch-tagged log (`fields` flattens one result).
+    fn run_stream<Op: StreamOperator<In = NexmarkEvent, Out: Ord>>(
+        &self,
+        engine: Framework,
+        setup: &Setup,
+        source: &StreamSource<NexmarkEvent>,
+        make_op: fn() -> Op,
+        answer: fn(Vec<Op::Out>) -> Answer,
+        fields: fn(&Op::Out) -> Vec<u64>,
+    ) -> Run {
+        let cfg = StreamJobConfig {
+            parallelism: setup.config.parallelism,
+            ..StreamJobConfig::default()
+        };
+        let (op, plan, cancel) = (|_| make_op(), &setup.faults, &setup.cancel);
+        let metrics = EngineMetrics::new();
+        let start = Instant::now();
+        let out = match engine {
+            Framework::Spark => run_micro_batch_checkpointed(
+                source,
+                op,
+                route_nexmark,
+                &cfg,
+                plan,
+                &metrics,
+                cancel,
+            ),
+            Framework::Flink => {
+                run_continuous_checkpointed(source, op, route_nexmark, &cfg, plan, &metrics, cancel)
+            }
+        };
+        let elapsed = start.elapsed();
+        let mut h = Xxh64::new(0);
+        for (epoch, result) in &out.committed {
+            h.write_u64(*epoch);
+            h.write_u64s(&fields(result));
+        }
+        Run {
+            verdict: self.judge(Ok(answer(canonical(&out.committed)))),
+            elapsed,
+            metrics: metrics.snapshot(),
+            trace: PlanTrace::default(),
+            commits: Some(CommitLog {
+                rows: out.committed.len(),
+                digest: h.finish(),
+            }),
+        }
     }
 
     fn judge(&self, out: Result<Answer, IterationError>) -> Verdict {
@@ -393,6 +551,17 @@ mod tests {
                 let run = cell.run(engine, &Setup::new(2));
                 assert_eq!(run.verdict, Verdict::Verified, "{workload:?} {engine}");
                 assert!(run.metrics.tasks_launched > 0, "{workload:?} {engine}");
+            }
+        }
+        for query in [Query::Q3, Query::Q6] {
+            let cell = Cell::nexmark(query, 1_500, 3);
+            assert!(cell.answer_len() > 0, "{}", cell.name());
+            for engine in Framework::BOTH {
+                let run = cell.run(engine, &Setup::new(2));
+                assert_eq!(run.verdict, Verdict::Verified, "{} {engine}", cell.name());
+                assert_eq!(run.metrics.records_read, 1_500, "{} {engine}", cell.name());
+                let commits = run.commits.expect("a Nexmark run reports its commit log");
+                assert_eq!(commits.rows, cell.answer_len(), "{} {engine}", cell.name());
             }
         }
     }
@@ -497,6 +666,12 @@ mod tests {
                 for (a, b) in edges {
                     eat(&a.to_le_bytes());
                     eat(&b.to_le_bytes());
+                }
+            }
+            Input::Nexmark(_, source) => {
+                for e in &source.events {
+                    eat(&e.time.to_le_bytes());
+                    eat(&route_nexmark(&e.payload).to_le_bytes());
                 }
             }
         }

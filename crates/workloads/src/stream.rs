@@ -32,6 +32,15 @@ pub const Q3_CATEGORY: u64 = 10;
 /// q6's tumbling window size in ticks.
 pub const Q6_WINDOW: u64 = 64;
 
+/// The two Nexmark queries a [`crate::cell::Cell`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Query {
+    /// Filter-join ([`Q3Join`]).
+    Q3,
+    /// Windowed aggregate ([`q6_operator`]).
+    Q6,
+}
+
 /// Partition routing shared by every Nexmark query: persons by id,
 /// auctions by seller, bids by auction. This colocates each q3 join key
 /// (person id = auction seller) and each q6 window key on one task.

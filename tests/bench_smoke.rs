@@ -429,85 +429,52 @@ fn kmeans_counters_repeat_exactly() {
 }
 
 /// Nexmark's deterministic counters are a function of the input alone: on
-/// flowbench's dataset recipe (allowance 32, a watermark every 16 events,
-/// disorder bounded to 6 positions, a checkpoint every 64 events, P = 2),
-/// two fresh runs of q3 and q6 agree on each runtime, on the counters the
-/// commit before one-sink-message-per-slab read for these seeds and on the
-/// epoch-tagged committed log, pinned as its length and xxHash64 digest.
+/// `Cell::nexmark`'s dataset recipe (allowance 32, a watermark every 16
+/// events, disorder bounded to 6 positions), with a checkpoint every 64
+/// events at P = 2, two fresh runs of the q3 and q6 cells agree on each
+/// runtime, on the counters the commit before one-sink-message-per-slab
+/// read for these seeds and on the epoch-tagged committed log, pinned as
+/// its length and xxHash64 digest.
 #[test]
 fn nexmark_counters_repeat_exactly() {
-    use flowmark_columnar::checksum::Xxh64;
-    use flowmark_datagen::nexmark::{self, NexmarkConfig};
-    use flowmark_engine::streaming::{
-        run_continuous_checkpointed, run_micro_batch_checkpointed, shuffle_bounded, SourceConfig,
-        StreamJobConfig, StreamOperator, StreamSource,
-    };
-    use flowmark_engine::{CancelToken, EngineMetrics, FaultConfig, FaultPlan};
-    use flowmark_workloads::stream::{nexmark_source, q6_operator, route_nexmark, Q3Join};
+    use flowmark_core::config::Framework;
+    use flowmark_engine::{FaultConfig, FaultPlan, Setup};
+    use flowmark_workloads::cell::Cell;
+    use flowmark_workloads::stream::Query;
 
-    let dataset = |seed: u64, events: usize| {
-        let mut src = nexmark_source(
-            nexmark::generate(seed, events, &NexmarkConfig::default()),
-            SourceConfig {
-                allowance: 32,
-                watermark_every: 16,
-                stall_watermark_after: None,
-                hold_at_end: false,
-            },
+    let q3 = Cell::nexmark(Query::Q3, 20_000, 13);
+    let q6 = Cell::nexmark(Query::Q6, 20_000, 16);
+    let run = |cell: &Cell, engine: Framework| {
+        let setup = Setup {
+            faults: FaultPlan::new(FaultConfig {
+                checkpoint_interval_records: 64,
+                ..FaultConfig::default()
+            }),
+            ..Setup::new(2)
+        };
+        let run = cell.run(engine, &setup);
+        assert!(
+            run.verdict.is_verified(),
+            "{} on {engine} diverged",
+            cell.name()
         );
-        src.events = shuffle_bounded(src.events, seed ^ 0xD150_4DE4, 6);
-        src
+        let (m, r) = (&run.metrics, &run.metrics.recovery);
+        let log = run.commits.expect("a Nexmark run reports its commit log");
+        (
+            [
+                m.records_read,
+                r.checkpoints_taken,
+                r.checkpoint_bytes,
+                r.batches_checksummed,
+                m.windows_emitted,
+                m.stream_batches,
+                m.late_events_dropped,
+                m.watermark_lag_events,
+            ],
+            (log.rows, log.digest),
+        )
     };
-    let q3 = dataset(13, 20_000);
-    let q6 = dataset(16, 20_000);
-    let counters = |m: &EngineMetrics| {
-        let r = m.recovery();
-        [
-            m.records_read(),
-            r.checkpoints_taken,
-            r.checkpoint_bytes,
-            r.batches_checksummed,
-            m.windows_emitted(),
-            m.stream_batches(),
-            m.late_events_dropped(),
-            m.watermark_lag_events(),
-        ]
-    };
-    fn run<Op: StreamOperator>(
-        continuous: bool,
-        source: &StreamSource<Op::In>,
-        make_op: fn(usize) -> Op,
-        route: fn(&Op::In) -> u64,
-        row: fn(&Op::Out) -> Vec<u64>,
-    ) -> (EngineMetrics, (usize, u64)) {
-        let cfg = StreamJobConfig {
-            parallelism: 2,
-            ..StreamJobConfig::default()
-        };
-        let plan = FaultPlan::new(FaultConfig {
-            checkpoint_interval_records: 64,
-            ..FaultConfig::default()
-        });
-        let (metrics, cancel) = (EngineMetrics::new(), CancelToken::new());
-        let out = if continuous {
-            run_continuous_checkpointed(source, make_op, route, &cfg, &plan, &metrics, &cancel)
-        } else {
-            run_micro_batch_checkpointed(source, make_op, route, &cfg, &plan, &metrics, &cancel)
-        };
-        let mut h = Xxh64::new(0);
-        for (epoch, o) in &out.committed {
-            h.write_u64(*epoch);
-            h.write_u64s(&row(o));
-        }
-        (metrics, (out.committed.len(), h.finish()))
-    }
-    let q3_row = |r: &flowmark_workloads::stream::Q3Row| vec![r.auction, r.seller, r.state, r.city];
-    let q6_row = |w: &flowmark_engine::WindowResult| vec![w.key, w.start, w.end, w.sum, w.count, w.max];
-    let cell = |continuous: bool| {
-        let (m3, log3) = run(continuous, &q3, |_| Q3Join::new(), route_nexmark, q3_row);
-        let (m6, log6) = run(continuous, &q6, |_| q6_operator(), route_nexmark, q6_row);
-        ((counters(&m3), log3), (counters(&m6), log6))
-    };
+    let cell = |engine: Framework| (run(&q3, engine), run(&q6, engine));
     // Per runtime: (q3, q6) as ([records_read, checkpoints_taken,
     // checkpoint_bytes, batches_checksummed, windows_emitted,
     // stream_batches, late_events_dropped, watermark_lag_events],
@@ -524,8 +491,9 @@ fn nexmark_counters_repeat_exactly() {
             ([20_000, 313, 266_896, 628, 12_159, 2_500, 0, 5_444], q6_log),
         ),
     ];
-    for (continuous, parent) in [true, false].into_iter().zip(parent) {
-        let (first, second) = (cell(continuous), cell(continuous));
+    // Continuous (the pipelined engine) first, then micro-batch (staged).
+    for (engine, parent) in [Framework::Flink, Framework::Spark].into_iter().zip(parent) {
+        let (first, second) = (cell(engine), cell(engine));
         assert_eq!(first, second, "counters or commits differ between fresh runs");
         assert_eq!(first, parent, "counters or commits moved against the parent commit");
     }

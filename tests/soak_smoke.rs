@@ -43,7 +43,7 @@ fn soak_smoke_holds_all_invariants() {
     assert_eq!(report.health.budget_in_use_bytes, 0);
     assert!(report.workers_joined);
 
-    // The report must survive a JSON round trip for BENCH_PR4.json.
+    // The report must survive a JSON round trip for `--out`.
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let back: SoakReport = serde_json::from_str(&json).expect("report deserializes");
     assert_eq!(back.seed, report.seed);
@@ -66,4 +66,32 @@ fn soak_smoke_is_deterministic_for_a_fixed_seed() {
     assert_eq!(a.explicit_cancels, b.explicit_cancels);
     assert_eq!(a.oracle_failures, 0);
     assert_eq!(b.oracle_failures, 0);
+}
+
+/// The mix phase's (slot, workload, engine, corrupt) list at seed 1 and
+/// smoke scale, as the soak drew it before the slot list moved into
+/// `mix_slots`. Slots 3 and 9 run streaming tenants.
+#[test]
+fn mix_slots_match_the_parent() {
+    use flowmark_core::config::Framework::{Flink, Spark};
+    use flowmark_harness::soak::mix_slots;
+    use flowmark_workloads::Workload::*;
+
+    assert_eq!(
+        mix_slots(1, SoakScale::smoke().mix_jobs),
+        [
+            (0, ConnectedComponents, Spark, false),
+            (1, Grep, Flink, true),
+            (2, KMeans, Spark, false),
+            (3, PageRank, Flink, false),
+            (4, TeraSort, Spark, true),
+            (5, PageRank, Flink, false),
+            (6, KMeans, Spark, false),
+            (7, TeraSort, Flink, false),
+            (8, PageRank, Spark, false),
+            (9, PageRank, Flink, false),
+            (10, KMeans, Spark, false),
+            (11, PageRank, Flink, false),
+        ]
+    );
 }
